@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import REF_LAMBDA
 
 from wpaoi import (
     EventLog,
@@ -18,6 +19,11 @@ from wpaoi import (
     trace_rows,
     write_trace,
 )
+from wpaoi.simulator import _DENSE_BETA
+
+# Capacitor size that puts the reference point exactly at the fill-search
+# threshold; the engine takes the dense search there and the sparse one above.
+_THRESHOLD_CAP = _DENSE_BETA * (0.5 * 3.0 / REF_LAMBDA)
 
 
 def _trace_events(config):
@@ -150,7 +156,19 @@ def test_batch_ci_rejects_short_input():
 
 # --- the two execution paths agree ------------------------------------------
 
-@pytest.mark.parametrize("capacitor_j", [1e-4, 3e-4, 1e-3])
+@pytest.mark.parametrize(
+    "capacitor_j",
+    [
+        1e-4,
+        3e-4,
+        1e-3,
+        # below half an ulp of the running harvest sum: every slot fills, and
+        # a chase that is not forced forward never ends
+        2e-19,
+        pytest.param(_THRESHOLD_CAP, id="dense_at_threshold"),
+        pytest.param(math.nextafter(_THRESHOLD_CAP, math.inf), id="sparse_above_threshold"),
+    ],
+)
 def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j):
     config = SimConfig(ref_point(capacitor_j=capacitor_j), 50_000, seed=2024)
     log = sample_events(config)
@@ -168,10 +186,23 @@ def test_vectorized_path_matches_per_slot_path_toy(toy_point):
     assert bool(np.all(log.success))
 
 
-def test_block_size_does_not_change_events(ref_point):
-    config = SimConfig(ref_point(), 50_000, seed=77)
+def test_vectorized_path_matches_per_slot_path_dense(ref_point):
+    # beta 1.456, so the dense fill search runs
+    config = SimConfig(ref_point(power_w=300.0), 50_000, seed=2024)
+    log = sample_events(config)
+    fills, outcomes = _trace_events(config)
+    assert np.array_equal(fills, log.fill_slots)
+    assert np.array_equal(outcomes, log.success)
+
+
+# At the sparse point (beta 145.6) a 7-slot block is far shorter than one
+# recharge, so the deficit carried from block to block decides every fill.
+@pytest.mark.parametrize("block", [997, 7])
+@pytest.mark.parametrize("power_w", [3.0, 300.0], ids=["sparse", "dense"])
+def test_block_size_does_not_change_events(ref_point, power_w, block):
+    config = SimConfig(ref_point(power_w=power_w), 50_000, seed=77)
     a = sample_events(config)
-    b = sample_events(config, block=997)
+    b = sample_events(config, block=block)
     assert np.array_equal(a.fill_slots, b.fill_slots)
     assert np.array_equal(a.success, b.success)
 
