@@ -3,8 +3,8 @@
 A sensor harvests RF energy into a capacitor of size B and sends a status
 update with full discharge each time the capacitor fills. This package
 evaluates the closed-form average age of the delivered updates and checks
-it against slot-level Monte Carlo simulation. It also sizes the capacitor
-to minimize that age.
+it against Monte Carlo simulation. It also sizes the capacitor to minimize
+that age.
 """
 
 from .analytics import (
@@ -53,7 +53,9 @@ from .simulator import (
     empirical_aoi,
     extract_cycles,
     sample_events,
+    sample_slot_events,
     simulate,
+    summarize,
     trace_rows,
     write_trace,
 )
@@ -97,8 +99,10 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "sample_events",
+    "sample_slot_events",
     "simulate",
     "success_probability",
+    "summarize",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",
     "trace_rows",

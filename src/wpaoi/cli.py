@@ -32,7 +32,15 @@ from .experiments import (
 )
 from .model import build_params, dbm_to_watts, derive
 from .optimizer import optimize_capacitor
-from .simulator import NoSuccessError, SimConfig, Warmup, simulate, write_trace
+from .simulator import (
+    NoSuccessError,
+    SimConfig,
+    Warmup,
+    sample_slot_events,
+    simulate,
+    summarize,
+    write_trace,
+)
 
 __all__ = ["run_cli", "main"]
 
@@ -130,9 +138,13 @@ def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     warmup = Warmup.FULL_HORIZON if args.warmup == "full" else Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
     config = SimConfig(params, args.horizon, args.seed, warmup=warmup)
-    if args.trace is not None:
+    if args.trace is None:
+        stats = simulate(config)
+    else:
+        # The statistics describe the realization in the trace file, which
+        # only the slot engine reproduces.
         write_trace(config, args.trace)
-    stats = simulate(config)
+        stats = summarize(sample_slot_events(config), config.warmup)
     d = derive(params)
     payload = {
         "beta": d.beta,
@@ -206,7 +218,11 @@ def _cmd_validate(args) -> int:
     print(format_validation_report(report), end="", file=sys.stderr)
     if report.sim_error is not None:
         raise NoSuccessError(
-            report.sim_error, report.n_recharges, 0, report.n_successes, report.horizon_slots
+            report.sim_error,
+            report.n_recharges,
+            report.n_attempts,
+            report.n_successes,
+            report.horizon_slots,
         )
     if args.format == "csv":
         lines = ["statistic,analytic,empirical,ci_half,rel_err,tolerance,passed"]
@@ -249,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         default=None,
-        help="also write a per-slot CSV trace here (slow; use short horizons)",
+        help=(
+            "also write a per-slot CSV trace here and take the statistics from "
+            "the traced run (slow; use short horizons)"
+        ),
     )
     p.set_defaults(func=_cmd_simulate)
 

@@ -238,6 +238,7 @@ class ValidationReport:
     rows: tuple[ValidationRow, ...]
     all_passed: bool
     n_recharges: int
+    n_attempts: int
     n_successes: int
     horizon_slots: int
     seed: int
@@ -260,12 +261,14 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     config = SimConfig(params, horizon, seed, warmup=Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS)
     log = sample_events(config)
     n_recharges = int(log.fill_slots.size)
+    n_attempts = int(log.success.size)
     n_successes = int(np.count_nonzero(log.success))
     if n_successes < 2:
         return ValidationReport(
             rows=(),
             all_passed=False,
             n_recharges=n_recharges,
+            n_attempts=n_attempts,
             n_successes=n_successes,
             horizon_slots=horizon,
             seed=seed,
@@ -324,6 +327,7 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
         rows=tuple(rows),
         all_passed=all(r.passed for r in rows),
         n_recharges=n_recharges,
+        n_attempts=n_attempts,
         n_successes=n_successes,
         horizon_slots=horizon,
         seed=seed,
@@ -334,7 +338,8 @@ def format_validation_report(report: ValidationReport) -> str:
     """Render a validation report as an aligned text table."""
     lines = [
         f"validation over {report.horizon_slots} slots, seed {report.seed}: "
-        f"{report.n_recharges} recharges, {report.n_successes} decoded updates"
+        f"{report.n_recharges} recharges, {report.n_attempts} attempts, "
+        f"{report.n_successes} decoded updates"
     ]
     if report.sim_error is not None:
         lines.append(f"FAILED: {report.sim_error}")

@@ -1,4 +1,4 @@
-"""Slot-level Monte Carlo simulation of the charge-and-transmit link.
+"""Monte Carlo simulation of the charge-and-transmit link.
 
 The simulated system: each slot the node harvests energy from a Rayleigh
 fading power link into a capacitor of size B. When the capacitor fills, the
@@ -8,17 +8,25 @@ decoded when the information channel draw clears the spectral-efficiency
 threshold; a decoded update resets the receiver-side age to one, otherwise
 the age keeps growing.
 
-Two execution paths produce identical event sequences:
+Three execution paths sample this system:
 
-* a vectorized path (:func:`sample_events`) that finds capacitor fill slots
-  by cumulative sums and binary search, used for long horizons, and
-* a plain per-slot loop (:func:`trace_rows`) that also exposes the harvested
-  energy, capacitor level, transmit flag, decode outcome, and age for every
-  slot. It is the reference implementation and the debugging trace writer.
+* :func:`sample_events`, the default engine behind :func:`simulate`, draws
+  one recharge time per update. The harvest is a Poisson process in energy
+  and the overshoot past B is discarded, so every recharge time is exactly
+  ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots.
+* :func:`sample_slot_events` runs the slot dynamics themselves, a block at a
+  time, and finds fills by binary search in cumulative harvest sums. It is
+  the reference for the renewal claim above and backs the ``--trace`` path.
+* :func:`trace_rows`, a plain per-slot loop, also exposes the harvested
+  energy, capacitor level, transmit flag, decode outcome and age of every
+  slot. It is the debugging trace writer.
 
-Both consume the same two random substreams in the same order (one draw from
-the harvest stream per slot, one draw from the decode stream per transmit
-slot), so they agree bit for bit for a given seed.
+The slot paths consume the same two random substreams in the same order (one
+draw from the harvest stream per slot, one draw from the decode stream per
+transmit slot), so they agree bit for bit for a given seed. The renewal
+engine reads the harvest stream differently, so it describes another
+realization of the same process; the tests tie it to the slot engine by the
+distributions of recharge and interarrival times.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ __all__ = [
     "EventLog",
     "NoSuccessError",
     "sample_events",
+    "sample_slot_events",
+    "summarize",
     "simulate",
     "extract_cycles",
     "empirical_aoi",
@@ -49,6 +59,11 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 23
+_MAX_HORIZON = 1 << 62
+
+# Largest mean numpy's Poisson sampler accepts (its own limit, int64 max less
+# ten standard deviations); above it the first fill lies past ~9.2e18 slots.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 # Fill-search crossover in beta, the mean number of extra slots per recharge.
 # Above it one binary search per fill is cheaper; at or below it one search
@@ -82,8 +97,12 @@ class SimConfig:
     warmup: Warmup = Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
 
     def __post_init__(self) -> None:
-        if self.horizon_slots < 1:
-            raise ValueError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
+        # Below 2^62 the renewal engine's running sums of capped recharge
+        # times stay in int64 until they pass the horizon.
+        if not 1 <= self.horizon_slots < _MAX_HORIZON:
+            raise ValueError(
+                f"horizon_slots must be >= 1 and below 2**62, got {self.horizon_slots}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 
@@ -145,15 +164,93 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]
     return np.random.default_rng(h_ss), np.random.default_rng(g_ss)
 
 
+def _decodes(p: SystemParams, g_rng, fill_slots: np.ndarray, horizon: int) -> np.ndarray:
+    """Decode outcome of every attempt, one draw each, in fill order.
+
+    A fill is followed by an attempt when its transmit slot, the next one,
+    lies within the horizon.
+    """
+    n_attempts = int(np.searchsorted(fill_slots, horizon - 1, side="right"))
+    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / p.capacitor_j
+    # gains = -log1p(-u) / lambda in one buffer; the sign moves into the
+    # divisor exactly
+    gains = g_rng.random(n_attempts)
+    np.negative(gains, out=gains)
+    np.log1p(gains, out=gains)
+    gains /= -p.channel_rate
+    return gains >= threshold
+
+
+def _renewal_fills(h_rng, beta: float, horizon: int, block: int) -> np.ndarray:
+    """Fill slots up to the horizon: the running sum of ``1 + Poisson(beta)`` draws."""
+    if beta > _POISSON_LAM_MAX:
+        return np.empty(0, dtype=np.int64)
+    chunks = []
+    pos = 0
+    while True:
+        left = horizon - pos
+        # Draw what the rest of the horizon needs with a margin of at least
+        # 12 standard deviations of the fill count, whose variance is below
+        # need / 4; far larger chunks cost more than the run itself.
+        need = left / (1.0 + beta)
+        n = min(block, int(need + 6.0 * math.sqrt(need)) + 16)
+        s = h_rng.poisson(beta, n)
+        # A recharge longer than what is left ends the run. Capping each one
+        # at left + 1 keeps the running sum below 2 * 2^62 up to its first
+        # entry past the horizon; later entries may wrap and are not used.
+        s += 1
+        np.minimum(s, left + 1, out=s)
+        np.cumsum(s, out=s)
+        past = s > left
+        k = int(past.argmax())
+        s += pos
+        if past[k]:
+            chunks.append(s[:k])
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        chunks.append(s)
+        pos = int(s[-1])
+
+
 def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
+    """Sample the fill slots and decode outcomes of one run, update by update.
+
+    Between fills the capacitor collects energy quanta ``eta*P*h`` with
+    exponential ``h``, a Poisson process in energy, and the fill slot is the
+    first one whose harvest reaches B; the overshoot is lost at the transmit
+    slot. So the recharge time is exactly ``T = 1 + Poisson(beta)`` with
+    beta = lambda*B/(eta*P), independently from fill to fill, and the fill
+    slots are the running sum of the T draws up to the horizon. The draws
+    come in chunks of at most ``block``, each sized to what the rest of the
+    horizon needs; numpy's Poisson sampler gives the same sequence however it
+    is split, so ``block`` only affects memory use, not the results.
+
+    Decode outcomes are drawn from a second substream, one draw per attempt,
+    in fill order, as in :func:`sample_slot_events`. A beta above numpy's
+    Poisson limit (~9.2e18) puts the first fill beyond any horizon, so the
+    run has no fill.
+    """
+    p = config.params
+    horizon = config.horizon_slots
+    beta = p.channel_rate * p.capacitor_j / (p.efficiency * p.power_w)
+    h_rng, g_rng = _spawn_streams(config.seed)
+    fill_slots = _renewal_fills(h_rng, beta, horizon, block)
+    return EventLog(fill_slots, _decodes(p, g_rng, fill_slots, horizon), horizon)
+
+
+def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     """Run the slot dynamics and return the fill slots and decode outcomes.
+
+    This is the reference engine: it draws one harvest per slot, exactly as
+    :func:`trace_rows` does, and returns the same events bit for bit. It
+    backs the renewal claim of :func:`sample_events` in the tests and the
+    ``--trace`` path of the command line.
 
     The capacitor level after slot k is ``min(level + eta*P*h_k, B)`` with the
     level forced to zero at the start of a transmit slot, so between fills the
     raw harvested energy accumulates unclipped and a fill happens at the first
     slot where the running sum reaches the outstanding deficit. That turns the
-    whole harvest process into one cumulative sum per block, with the partial
-    deficit carried across block boundaries.
+    whole harvest process into one cumulative sum per block of ``block``
+    slots, with the partial deficit carried across block boundaries.
 
     Fills are found by binary search in that sum, one of two ways picked by
     beta = B / (eta*P/lambda). When fills are sparse (beta above
@@ -208,12 +305,7 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
         pos += n
 
     fill_slots = np.asarray(fills, dtype=np.int64)
-    n_attempts = int(np.searchsorted(fill_slots, horizon - 1, side="right"))
-    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / cap
-    gu = g_rng.random(n_attempts)
-    gains = -np.log1p(-gu) / p.channel_rate
-    success = gains >= threshold
-    return EventLog(fill_slots=fill_slots, success=success, horizon_slots=horizon)
+    return EventLog(fill_slots, _decodes(p, g_rng, fill_slots, horizon), horizon)
 
 
 def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,8 +397,8 @@ def _ratio_batch_half(x_cycles: np.ndarray, n_batches: int = 20) -> float:
     return quantile * spread / math.sqrt(k)
 
 
-def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
-    """Run the simulation and reduce it to empirical statistics.
+def summarize(log: EventLog, warmup: Warmup) -> SimStats:
+    """Reduce an event log to empirical statistics.
 
     Under the default warmup the statistics cover the window between the
     first and last decoded update, and the reported age average equals the
@@ -322,12 +414,11 @@ def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
         If no update is decoded, or under the windowed warmup if fewer than
         two are (no complete cycle fits in the window).
     """
-    log = sample_events(config, block=block)
     fills = log.fill_slots
     n_recharges = int(fills.size)
     n_attempts = int(log.success.size)
     n_successes = int(np.count_nonzero(log.success))
-    horizon = config.horizon_slots
+    horizon = log.horizon_slots
 
     if n_successes == 0:
         raise NoSuccessError(
@@ -337,7 +428,7 @@ def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
     t_all, x_all, m_all = extract_cycles(log)
     attempt_idx = np.flatnonzero(log.success)
 
-    if config.warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
+    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
         if n_successes < 2:
             raise NoSuccessError(
                 "fewer than two decoded updates, measurement window is empty",
@@ -382,11 +473,16 @@ def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
     )
 
 
+def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
+    """Sample one run with :func:`sample_events` and reduce it with :func:`summarize`."""
+    return summarize(sample_events(config, block), config.warmup)
+
+
 def trace_rows(config: SimConfig):
     """Yield one (slot, harvest_j, energy_j, transmitted, success, age) per slot.
 
     Plain per-slot reference dynamics. Consumes the random substreams in
-    exactly the same order as :func:`sample_events`, so the two paths
+    exactly the same order as :func:`sample_slot_events`, so the two paths
     describe the same realization for the same seed. The age starts at 1
     before the first slot and resets to 1 on the slot of each decoded
     update.

@@ -3,9 +3,10 @@
 Seven criteria, each with a hard tolerance that is part of the package
 contract. Every test emits exactly one ``ACCEPTANCE n PASS/FAIL`` line on
 the real terminal (bypassing pytest capture) so a full run doubles as a
-checklist. Random designs are frozen by seed; the Monte Carlo criteria pin
-a specific seed and horizon whose sampling error was checked to sit inside
-the stated bound, so the suite is fully deterministic.
+checklist. Random designs and runs are frozen by seed, so the suite is fully
+deterministic. The Monte Carlo criteria run at horizons where their bound
+is several standard errors wide, and over more than one seed where a run is
+cheap, so a pass does not hinge on one lucky draw.
 """
 
 import math
@@ -28,7 +29,9 @@ from wpaoi import (
     recharge_moments,
     recharge_pmf,
     sample_events,
+    sample_slot_events,
     simulate,
+    summarize,
     trace_rows,
     truncation_k_max,
 )
@@ -94,10 +97,12 @@ def test_criterion_3_simulation_matches_closed_form(capsys):
     """Simulated average age is within 1% of the closed form.
 
     Reference scenario at 3 W for three capacitor sizes spanning the
-    minimum, at 1e7 slots. Seed 9 was picked by a documented scan as a
-    typical draw: the estimator's standard error at this horizon is about
-    1%, i.e. the same size as the bound, so the criterion is pinned to a
-    deterministic draw rather than left to seed luck.
+    minimum, at 4e8 slots on each of seeds 1, 9 and 2026. Over 200 seeds at
+    1e7 slots the relative standard error of the windowed estimate was
+    1.16%, 0.73% and 0.66% for B = 1e-4, 3.36e-4 and 1e-3 J; it falls as the
+    square root of the horizon, so at 4e8 slots the 1% bound is at least 5
+    standard errors wide. One 4e8-slot run took 0.85 s at B = 1e-4 J (the
+    most fills) with numpy 2.4.6 on 2 vCPUs.
     """
     expected = {
         1e-4: 622.36583866962915,
@@ -110,39 +115,48 @@ def test_criterion_3_simulation_matches_closed_form(capsys):
             d = derive(params)
             delta_an = average_aoi(d.beta, d.pi)
             assert abs(delta_an - delta_frozen) <= 1e-12 * delta_frozen
-            stats = simulate(SimConfig(params=params, horizon_slots=10_000_000, seed=9))
-            rel = abs(stats.delta_hat - delta_an) / delta_an
-            assert rel < 0.01, f"B={b_j}: rel={rel:.5f}"
+            for seed in (1, 9, 2026):
+                stats = simulate(SimConfig(params=params, horizon_slots=400_000_000, seed=seed))
+                rel = abs(stats.delta_hat - delta_an) / delta_an
+                assert rel < 0.01, f"B={b_j}, seed={seed}: rel={rel:.5f}"
+
+
+def _assert_event_distributions(log, d):
+    """Recharge counts within 0.01 TV of the pmf, decode rate within 3 sigma of pi."""
+    t, _, _ = extract_cycles(log)
+    assert t.size >= 1_000_000, f"recharges={t.size}"
+
+    kmax = truncation_k_max(d.beta)
+    counts = np.bincount(np.minimum(t, kmax + 1), minlength=kmax + 2)
+    pmf = recharge_pmf(d.beta, np.arange(1, kmax + 1, dtype=np.int64))
+    emp = counts[1 : kmax + 1] / t.size
+    tail_emp = counts[kmax + 1] / t.size
+    tail_pmf = max(0.0, 1.0 - float(pmf.sum()))
+    tv = 0.5 * (float(np.abs(emp - pmf).sum()) + abs(tail_emp - tail_pmf))
+    assert tv < 0.01, f"tv={tv:.5f}"
+
+    n_att = log.success.size
+    phat = float(log.success.mean())
+    se = math.sqrt(d.pi * (1.0 - d.pi) / n_att)
+    assert abs(phat - d.pi) <= 3.0 * se, f"phat={phat:.6f} pi={d.pi:.6f}"
 
 
 def test_criterion_4_event_distributions(capsys):
     """Recharge-count distribution and success rate match theory.
 
-    One long run (1.5e8 slots, about 1e6 recharge cycles): total variation
-    between the empirical recharge-count histogram and the pmf below 0.01,
-    and the attempt success rate within three binomial standard errors of
-    the closed-form success probability.
+    One long run (1.5e8 slots, about 1e6 recharge cycles) of each engine:
+    total variation between the empirical recharge-count histogram and the
+    pmf below 0.01, and the attempt success rate within three binomial
+    standard errors of the closed-form success probability. On the slot
+    engine this checks the claim that T - 1 is Poisson(beta); on the
+    renewal engine, which draws T from that law, it checks the sampler.
     """
     with criterion(capsys, 4, "recharge distribution TV < 0.01 and success rate in 3 sigma"):
         params = _ref_params(3.0, 3e-4)
         d = derive(params)
-        log = sample_events(SimConfig(params=params, horizon_slots=150_000_000, seed=9))
-        t, _, _ = extract_cycles(log)
-        assert t.size >= 1_000_000, f"recharges={t.size}"
-
-        kmax = truncation_k_max(d.beta)
-        counts = np.bincount(np.minimum(t, kmax + 1), minlength=kmax + 2)
-        pmf = recharge_pmf(d.beta, np.arange(1, kmax + 1, dtype=np.int64))
-        emp = counts[1 : kmax + 1] / t.size
-        tail_emp = counts[kmax + 1] / t.size
-        tail_pmf = max(0.0, 1.0 - float(pmf.sum()))
-        tv = 0.5 * (float(np.abs(emp - pmf).sum()) + abs(tail_emp - tail_pmf))
-        assert tv < 0.01, f"tv={tv:.5f}"
-
-        n_att = log.success.size
-        phat = float(log.success.mean())
-        se = math.sqrt(d.pi * (1.0 - d.pi) / n_att)
-        assert abs(phat - d.pi) <= 3.0 * se, f"phat={phat:.6f} pi={d.pi:.6f}"
+        config = SimConfig(params=params, horizon_slots=150_000_000, seed=9)
+        _assert_event_distributions(sample_slot_events(config), d)
+        _assert_event_distributions(sample_events(config), d)
 
 
 def test_criterion_5_optimizer_agrees_with_dense_grid(capsys):
@@ -230,8 +244,8 @@ def test_criterion_6_qualitative_behavior(capsys):
 def test_criterion_7_windowed_estimate_is_exact(capsys):
     """The windowed simulator estimate equals the per-slot age average exactly.
 
-    A slot-by-slot trace and the vectorized batch simulator are run on the
-    same seed. Over the window from the first to the last delivered update,
+    A slot-by-slot trace and the slot engine, reduced by ``summarize``, are
+    run on the same seed. Over the window from the first to the last delivered update,
     the integer age total must satisfy the triangular per-cycle identity and
     the reported estimate must reproduce it with no floating-point slack.
     """
@@ -266,7 +280,7 @@ def test_criterion_7_windowed_estimate_is_exact(capsys):
             assert int((x * (x + 1) // 2).sum()) == window_sum
             assert int(x.sum()) == last - first
 
-            stats = simulate(config)
+            stats = summarize(sample_slot_events(config), config.warmup)
             assert stats.n_slots_measured == last - first
             assert stats.delta_hat == window_sum / (last - first)
             assert stats.delta_hat == empirical_aoi(x)

@@ -1,7 +1,10 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from wpaoi import SimConfig, build_params, dbm_to_watts, sample_events
 from wpaoi.cli import run_cli
 
 _TOY = [
@@ -88,6 +91,23 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert len(lines) == 301
 
 
+def test_simulate_trace_statistics_describe_the_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code = run_cli(
+        ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "20000",
+         "--seed", "4", "--trace", str(trace)]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    success_slots = [int(r["slot"]) for r in rows if r["success"] == "1"]
+    first, last = success_slots[0], success_slots[-1]
+    ages = [int(r["age"]) for r in rows if first <= int(r["slot"]) < last]
+    assert payload["n_slots_measured"] == len(ages)
+    assert payload["delta_hat"] == sum(ages) / len(ages)
+
+
 def test_lambda_overrides_distance_with_warning(capsys):
     code = run_cli(
         ["analytic", "--power-w", "3", "--capacitor-j", "3e-4",
@@ -148,3 +168,23 @@ def test_validate_no_success_exit_code(capsys):
         ["validate", "--power-w", "3", "--capacitor-j", "0.5", "--horizon", "100"]
     )
     assert code == 4
+
+
+def test_validate_single_success_reports_attempts(capsys):
+    # Cut the horizon at the fill of the second decoded update, so its
+    # attempt falls outside and exactly one update is decoded.
+    params, _ = build_params(
+        power_w=3.0, capacitor_j=3e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
+    )
+    log = sample_events(SimConfig(params, 1_000_000, seed=6))
+    horizon = int(log.fill_slots[np.flatnonzero(log.success)[1]])
+    attempts = int(np.flatnonzero(log.success)[1])
+    assert attempts >= 1
+    code = run_cli(
+        ["validate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", str(horizon),
+         "--seed", "6"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"attempts={attempts}," in err
+    assert "successes=1," in err

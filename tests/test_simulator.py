@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import REF_LAMBDA
+from scipy.stats import chi2
 
 from wpaoi import (
     EventLog,
@@ -15,11 +16,13 @@ from wpaoi import (
     empirical_aoi,
     extract_cycles,
     sample_events,
+    sample_slot_events,
     simulate,
+    summarize,
     trace_rows,
     write_trace,
 )
-from wpaoi.simulator import _DENSE_BETA
+from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX
 
 # Capacitor size that puts the reference point exactly at the fill-search
 # threshold; the engine takes the dense search there and the sparse one above.
@@ -154,7 +157,7 @@ def test_batch_ci_rejects_short_input():
         batch_ci([1.0, 2.0], n_batches=1)
 
 
-# --- the two execution paths agree ------------------------------------------
+# --- the slot engine agrees with the per-slot trace -------------------------
 
 @pytest.mark.parametrize(
     "capacitor_j",
@@ -171,7 +174,7 @@ def test_batch_ci_rejects_short_input():
 )
 def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j):
     config = SimConfig(ref_point(capacitor_j=capacitor_j), 50_000, seed=2024)
-    log = sample_events(config)
+    log = sample_slot_events(config)
     fills, outcomes = _trace_events(config)
     assert np.array_equal(fills, log.fill_slots)
     assert np.array_equal(outcomes, log.success)
@@ -179,7 +182,7 @@ def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j):
 
 def test_vectorized_path_matches_per_slot_path_toy(toy_point):
     config = SimConfig(toy_point, 20_000, seed=5)
-    log = sample_events(config)
+    log = sample_slot_events(config)
     fills, outcomes = _trace_events(config)
     assert np.array_equal(fills, log.fill_slots)
     assert np.array_equal(outcomes, log.success)
@@ -189,10 +192,17 @@ def test_vectorized_path_matches_per_slot_path_toy(toy_point):
 def test_vectorized_path_matches_per_slot_path_dense(ref_point):
     # beta 1.456, so the dense fill search runs
     config = SimConfig(ref_point(power_w=300.0), 50_000, seed=2024)
-    log = sample_events(config)
+    log = sample_slot_events(config)
     fills, outcomes = _trace_events(config)
     assert np.array_equal(fills, log.fill_slots)
     assert np.array_equal(outcomes, log.success)
+
+
+def _assert_block_invariant(engine, config, block):
+    a = engine(config)
+    b = engine(config, block=block)
+    assert np.array_equal(a.fill_slots, b.fill_slots)
+    assert np.array_equal(a.success, b.success)
 
 
 # At the sparse point (beta 145.6) a 7-slot block is far shorter than one
@@ -201,10 +211,82 @@ def test_vectorized_path_matches_per_slot_path_dense(ref_point):
 @pytest.mark.parametrize("power_w", [3.0, 300.0], ids=["sparse", "dense"])
 def test_block_size_does_not_change_events(ref_point, power_w, block):
     config = SimConfig(ref_point(power_w=power_w), 50_000, seed=77)
-    a = sample_events(config)
-    b = sample_events(config, block=block)
-    assert np.array_equal(a.fill_slots, b.fill_slots)
-    assert np.array_equal(a.success, b.success)
+    _assert_block_invariant(sample_slot_events, config, block)
+
+
+# The renewal engine draws recharge times in chunks of at most `block`; a
+# 7-draw chunk makes every run cross many chunk boundaries.
+@pytest.mark.parametrize("block", [997, 7])
+@pytest.mark.parametrize("power_w", [3.0, 300.0], ids=["sparse", "dense"])
+def test_block_size_does_not_change_renewal_events(ref_point, power_w, block):
+    config = SimConfig(ref_point(power_w=power_w), 50_000, seed=77)
+    _assert_block_invariant(sample_events, config, block)
+
+
+def _two_sample(a, b, min_pooled=50):
+    """Total variation and chi-square homogeneity p-value of two integer samples.
+
+    Values from the first one whose pooled count is below ``min_pooled`` on
+    are lumped into one tail bin.
+    """
+    top = int(max(a.max(), b.max())) + 1
+    ca = np.bincount(a, minlength=top)[1:]
+    cb = np.bincount(b, minlength=top)[1:]
+    sparse = ca + cb < min_pooled
+    k = int(sparse.argmax()) if sparse.any() else ca.size
+    ca = np.append(ca[:k], ca[k:].sum())
+    cb = np.append(cb[:k], cb[k:].sum())
+    na, nb = a.size, b.size
+    tv = 0.5 * float(np.abs(ca / na - cb / nb).sum())
+    used = ca + cb > 0
+    ca, cb = ca[used], cb[used]
+    stat = float(np.sum((ca * math.sqrt(nb / na) - cb * math.sqrt(na / nb)) ** 2 / (ca + cb)))
+    return tv, float(chi2.sf(stat, ca.size - 1))
+
+
+def test_renewal_engine_matches_slot_engine_in_distribution(ref_point):
+    # beta 1.456, pi 0.425: 6e6 slots give ~2.4e6 recharges and ~1e6
+    # interarrivals per engine. The engines read the harvest stream in
+    # different ways, so each gets its own seed to keep the samples
+    # independent.
+    params = ref_point(power_w=300.0)
+    t_slot, x_slot, _ = extract_cycles(sample_slot_events(SimConfig(params, 6_000_000, seed=1)))
+    t_new, x_new, _ = extract_cycles(sample_events(SimConfig(params, 6_000_000, seed=2)))
+    assert min(x_slot.size, x_new.size) >= 1_000_000
+    for name, a, b in (("T", t_slot, t_new), ("X", x_slot, x_new)):
+        tv, p_value = _two_sample(a, b)
+        assert tv < 0.01, f"{name}: tv={tv:.5f}"
+        assert p_value > 1e-3, f"{name}: chi-square p={p_value:.2e}"
+
+
+def test_simulate_reduces_renewal_events(ref_point):
+    config = SimConfig(ref_point(), 200_000, seed=31)
+    assert simulate(config) == summarize(sample_events(config), config.warmup)
+
+
+@pytest.mark.parametrize(
+    "capacitor_j, horizon",
+    [
+        # beta past numpy's Poisson limit: no fill, as in the slot engine
+        pytest.param(
+            2.0 * _POISSON_LAM_MAX * (0.5 * 3.0 / REF_LAMBDA), 1_000, id="beta_past_poisson_limit"
+        ),
+        # beta ~1e-13: every slot fills, as in the slot engine
+        pytest.param(2e-19, 50_000, id="2e-19"),
+    ],
+)
+def test_renewal_engine_extreme_beta_matches_slot_engine(ref_point, capacitor_j, horizon):
+    config = SimConfig(ref_point(capacitor_j=capacitor_j), horizon, seed=2024)
+    log = sample_events(config)
+    ref = sample_slot_events(config)
+    assert np.array_equal(log.fill_slots, ref.fill_slots)
+    assert log.success.size == ref.success.size
+    if capacitor_j < 1.0:
+        assert np.array_equal(log.fill_slots, np.arange(1, horizon + 1))
+    else:
+        assert log.fill_slots.size == 0
+        with pytest.raises(NoSuccessError):
+            simulate(config)
 
 
 def test_simulate_is_deterministic(ref_point):
@@ -234,7 +316,7 @@ def test_trace_energy_and_age_dynamics(ref_point):
 
 def test_windowed_age_equals_cycle_decomposition(ref_point):
     config = SimConfig(ref_point(), 50_000, seed=13)
-    stats = simulate(config)
+    stats = summarize(sample_slot_events(config), config.warmup)
     rows = list(trace_rows(config))
     success_slots = [slot for slot, _h, _e, _tx, success, _a in rows if success]
     first, last = success_slots[0], success_slots[-1]
@@ -245,7 +327,7 @@ def test_windowed_age_equals_cycle_decomposition(ref_point):
 
 def test_full_horizon_age_equals_per_slot_average(ref_point):
     config = SimConfig(ref_point(), 5_000, seed=123, warmup=Warmup.FULL_HORIZON)
-    stats = simulate(config)
+    stats = summarize(sample_slot_events(config), config.warmup)
     ages = [age for *_rest, age in trace_rows(config)]
     assert stats.delta_hat == sum(ages) / len(ages)
     assert stats.n_slots_measured == config.horizon_slots
@@ -313,6 +395,8 @@ def test_single_success_raises_under_windowing(ref_point):
 def test_sim_config_validation(ref_point):
     with pytest.raises(ValueError):
         SimConfig(ref_point(), 0, seed=0)
+    with pytest.raises(ValueError):
+        SimConfig(ref_point(), 2**62, seed=0)
     with pytest.raises(ValueError):
         SimConfig(ref_point(), 100, seed=-1)
     with pytest.raises(ValueError):
