@@ -17,7 +17,6 @@ from .analytics import (
     mean_peak_area,
     recharge_moments,
     recharge_pmf,
-    success_probability,
     truncation_k_max,
 )
 from .experiments import (
@@ -36,13 +35,14 @@ from .experiments import (
 from .model import (
     DerivedParams,
     SystemParams,
+    beta_pi,
     build_params,
     channel_rate_from_distance,
     dbm_to_watts,
     derive,
     watts_to_dbm,
 )
-from .optimizer import OptResult, grid_scan, objective, optimize_capacitor
+from .optimizer import OptResult, optimize_capacitor, optimize_capacitors
 from .simulator import (
     EventLog,
     NoSuccessError,
@@ -82,6 +82,7 @@ __all__ = [
     "aoi_limit_ratio",
     "average_aoi",
     "batch_ci",
+    "beta_pi",
     "build_params",
     "channel_rate_from_distance",
     "dbm_to_watts",
@@ -89,11 +90,10 @@ __all__ = [
     "empirical_aoi",
     "extract_cycles",
     "format_validation_report",
-    "grid_scan",
     "interarrival_moments",
     "mean_peak_area",
-    "objective",
     "optimize_capacitor",
+    "optimize_capacitors",
     "recharge_moments",
     "recharge_pmf",
     "rows_to_csv",
@@ -101,7 +101,6 @@ __all__ = [
     "sample_events",
     "sample_slot_events",
     "simulate",
-    "success_probability",
     "summarize",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",

@@ -13,7 +13,7 @@ moments, the interarrival moments, the mean area under the age staircase per
 update, the average age of information, and its two asymptotic limits.
 
 Functions accept scalars and return floats; the moment and age functions also
-broadcast over numpy arrays, which the optimizer's grid scan relies on.
+broadcast over numpy arrays, which the capacitor search relies on.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "recharge_pmf",
     "truncation_k_max",
     "recharge_moments",
-    "success_probability",
     "interarrival_moments",
     "mean_peak_area",
     "average_aoi",
@@ -185,36 +184,13 @@ def recharge_moments(beta):
     Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2).
     """
     b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0):
+    if (b < 0.0).any():
         raise ValueError(f"beta must be non-negative, got {beta}")
     e_t = 1.0 + b
     e_t2 = 1.0 + 3.0 * b + b * b
     if np.ndim(beta) == 0:
         return float(e_t), float(e_t2)
     return e_t, e_t2
-
-
-def success_probability(
-    channel_rate: float, rate_bpcu: float, noise_w: float, capacitor_j: float
-) -> float:
-    """Per-attempt decode success probability of the information link.
-
-    A transmission of energy B over a Rayleigh-fading channel with gain rate
-    lambda is decoded when the instantaneous SNR supports the target spectral
-    efficiency, which happens with probability
-    ``exp(-lambda * (2**r - 1) * sigma2 / B)``.
-
-    rate_bpcu = 0 is accepted as a degenerate boundary and gives exactly 1.
-    """
-    if channel_rate <= 0.0:
-        raise ValueError(f"channel_rate must be positive, got {channel_rate}")
-    if rate_bpcu < 0.0:
-        raise ValueError(f"rate_bpcu must be non-negative, got {rate_bpcu}")
-    if noise_w <= 0.0:
-        raise ValueError(f"noise_w must be positive, got {noise_w}")
-    if capacitor_j <= 0.0:
-        raise ValueError(f"capacitor_j must be positive, got {capacitor_j}")
-    return math.exp(-channel_rate * (2.0**rate_bpcu - 1.0) * noise_w / capacitor_j)
 
 
 def _check_pi(pi) -> None:
@@ -228,17 +204,12 @@ def interarrival_moments(beta, pi):
 
     X is the sum of a Geometric(pi) number of independent recharge times, so
 
-    * E[X]   = (1 + beta) / pi
-    * E[X^2] = (1 + 3*beta + beta**2) / pi
-               + 2 * (1 + beta)**2 * (1 - pi) / pi**2
+    * E[X]   = E[T] / pi
+    * E[X^2] = E[T^2] / pi + 2 * E[T]**2 * (1 - pi) / pi**2
     """
-    b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0):
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    e_t, e_t2 = recharge_moments(beta)
     _check_pi(pi)
     p = np.asarray(pi, dtype=float)
-    e_t = 1.0 + b
-    e_t2 = 1.0 + 3.0 * b + b * b
     e_x = e_t / p
     e_x2 = e_t2 / p + 2.0 * e_t * e_t * (1.0 - p) / (p * p)
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
@@ -264,21 +235,22 @@ def average_aoi(beta, pi):
 
     Closed form::
 
-        (1 + 3*beta + beta**2) / (2 * (1 + beta))
-        + (1 + beta) * (1 - pi) / pi
-        + 1/2
+        E[T^2] / (2 * E[T]) + E[T] * (1 - pi) / pi + 1/2
 
-    which equals the renewal-reward ratio E[Q] / E[X] of the mean staircase
-    area to the mean interarrival time. Broadcasts over arrays.
+    with E[T] = 1 + beta and E[T^2] = 1 + 3*beta + beta**2. It equals the
+    renewal-reward ratio E[Q] / E[X] of the mean staircase area to the mean
+    interarrival time. pi = 0, a success probability that underflowed, gives
+    infinity, the limit of the age as pi falls to zero. Broadcasts over
+    arrays.
     """
-    b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0):
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    _check_pi(pi)
+    e_t, e_t2 = recharge_moments(beta)
     p = np.asarray(pi, dtype=float)
-    e_t = 1.0 + b
-    e_t2 = 1.0 + 3.0 * b + b * b
-    delta = e_t2 / (2.0 * e_t) + e_t * (1.0 - p) / p + 0.5
+    if ((p < 0.0) | (p > 1.0)).any():
+        raise ValueError(f"pi must be in [0, 1], got {pi}")
+    # (1 - pi) / pi is inf at pi = 0 and may overflow to inf at a denormal
+    # pi; inf is the intended value there.
+    with np.errstate(divide="ignore", over="ignore"):
+        delta = e_t2 / (2.0 * e_t) + e_t * (1.0 - p) / p + 0.5
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
         return float(delta)
     return delta
@@ -306,8 +278,7 @@ def aoi_limit_ratio(theta: float, channel_rate: float, efficiency: float) -> flo
         raise ValueError(f"channel_rate must be positive, got {channel_rate}")
     if efficiency <= 0.0:
         raise ValueError(f"efficiency must be positive, got {efficiency}")
-    c = channel_rate * theta / efficiency
-    return (1.0 + 3.0 * c + c * c) / (2.0 * (1.0 + c)) + 0.5
+    return average_aoi(channel_rate * theta / efficiency, 1.0)
 
 
 @dataclass(frozen=True)

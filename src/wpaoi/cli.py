@@ -105,6 +105,8 @@ def _emit(text: str, out) -> None:
 
 
 def _fmt_value(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
@@ -112,18 +114,24 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _csv(records: list[dict]) -> str:
+    """Flat records as CSV: a header of the first record's keys, then one
+    line per record. Booleans are written as 0/1, floats by repr and None as
+    an empty field; a pair value, such as a bracket, becomes two columns,
+    ``<key>_lo`` and ``<key>_hi``, after the others."""
+    rows = []
+    for record in records:
+        pairs = {k: v for k, v in record.items() if isinstance(v, (list, tuple))}
+        row = {k: v for k, v in record.items() if k not in pairs}
+        for k, (lo, hi) in pairs.items():
+            row[f"{k}_lo"], row[f"{k}_hi"] = lo, hi
+        rows.append(row)
+    lines = [",".join(rows[0])] + [",".join(map(_fmt_value, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit_payload(payload: dict, fmt: str, out) -> None:
-    if fmt == "csv":
-        keys = list(payload)
-        text = (
-            ",".join(keys)
-            + "\n"
-            + ",".join(_fmt_value(payload[k]) for k in keys)
-            + "\n"
-        )
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    _emit(_csv([payload]) if fmt == "csv" else json.dumps(payload, indent=2) + "\n", out)
 
 
 def _cmd_analytic(args) -> int:
@@ -172,13 +180,7 @@ def _cmd_optimize(args) -> int:
         "converged": result.converged,
         "on_boundary": result.on_boundary,
     }
-    if args.format == "csv":
-        flat = dict(payload)
-        flat["bracket_lo"], flat["bracket_hi"] = result.bracket
-        del flat["bracket"]
-        _emit_payload(flat, "csv", args.out)
-    else:
-        _emit_payload(payload, "json", args.out)
+    _emit_payload(payload, args.format or "json", args.out)
     return 0
 
 
@@ -225,15 +227,9 @@ def _cmd_validate(args) -> int:
             report.horizon_slots,
         )
     if args.format == "csv":
-        lines = ["statistic,analytic,empirical,ci_half,rel_err,tolerance,passed"]
-        for row in report.rows:
-            lines.append(
-                f"{row.statistic},{row.analytic!r},{row.empirical!r},{row.ci_half!r},"
-                f"{row.rel_err!r},{row.tolerance!r},{int(row.passed)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv([asdict(row) for row in report.rows]), args.out)
     else:
-        _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
+        _emit_payload(asdict(report), "json", args.out)
     return 0
 
 

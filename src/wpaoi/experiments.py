@@ -20,16 +20,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .analytics import analytic_report, average_aoi
-from .model import SystemParams, channel_rate_from_distance, derive
-from .optimizer import optimize_capacitor
+from .model import SystemParams, derive
+from .optimizer import optimize_capacitors
 from .simulator import (
     NoSuccessError,
     SimConfig,
     Warmup,
-    _ratio_batch_half,
     batch_ci,
-    empirical_aoi,
-    extract_cycles,
+    measurement_window,
     sample_events,
     simulate,
 )
@@ -48,7 +46,7 @@ __all__ = [
     "format_validation_report",
 ]
 
-_SWEEPABLE = ("capacitor_j", "power_w", "rate_bpcu", "distance")
+_SWEEPABLE = ("capacitor_j", "power_w")
 
 CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
 
@@ -57,8 +55,6 @@ CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,d
 class SweepSpec:
     """One sweep: a base operating point plus the values of one swept field.
 
-    ``alpha`` and ``c0`` are only consulted when sweeping ``distance``, where
-    each value is mapped to a channel rate through the distance power law.
     Simulation, when enabled, reuses the same seed at every sweep point.
     """
 
@@ -68,8 +64,6 @@ class SweepSpec:
     with_simulation: bool = False
     horizon_slots: int = 10_000_000
     seed: int = 0
-    alpha: float = 2.2
-    c0: float = 1e3
 
     def __post_init__(self) -> None:
         if self.swept_field not in _SWEEPABLE:
@@ -79,8 +73,8 @@ class SweepSpec:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("values must be non-empty")
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("values must be positive")
+        if not all(0.0 < v < math.inf for v in vals):
+            raise ValueError("values must be positive and finite")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be ascending")
         object.__setattr__(self, "values", vals)
@@ -111,14 +105,6 @@ class SweepRow:
     sim_error: str | None = None
 
 
-def _params_at(spec: SweepSpec, value: float) -> SystemParams:
-    if spec.swept_field == "distance":
-        return replace(
-            spec.base, channel_rate=channel_rate_from_distance(value, spec.alpha, spec.c0)
-        )
-    return replace(spec.base, **{spec.swept_field: value})
-
-
 def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
     """Average age at each capacitor size, optionally validated by simulation.
 
@@ -129,7 +115,7 @@ def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
         raise ValueError(f"expected a capacitor_j sweep, got {spec.swept_field!r}")
     rows = []
     for value in spec.values:
-        params = _params_at(spec, value)
+        params = replace(spec.base, capacitor_j=value)
         d = derive(params)
         delta_sim = delta_sim_ci = None
         sim_error = None
@@ -167,53 +153,35 @@ def sweep_minaoi_vs_P(spec: SweepSpec, r_values) -> list[SweepRow]:
     r_vals = [float(r) for r in r_values]
     if not r_vals:
         raise ValueError("r_values must be non-empty")
-    if any(r < 0.0 for r in r_vals):
-        raise ValueError("r_values must be non-negative")
+    if not all(0.0 <= r < math.inf for r in r_vals):
+        raise ValueError("r_values must be non-negative and finite")
+    lanes = [
+        replace(spec.base, power_w=power, rate_bpcu=r) for r in r_vals for power in spec.values
+    ]
     rows = []
-    for r in r_vals:
-        for power in spec.values:
-            params = replace(spec.base, power_w=power, rate_bpcu=r)
-            opt = optimize_capacitor(params)
-            d = derive(replace(params, capacitor_j=opt.b_star_j))
-            rows.append(
-                SweepRow(
-                    swept_value=power,
-                    beta=d.beta,
-                    pi=d.pi,
-                    delta_analytic=opt.delta_star,
-                    b_star=opt.b_star_j,
-                    delta_star=opt.delta_star,
-                    rate_bpcu=r,
-                    boundary=opt.on_boundary,
-                )
+    for params, opt in zip(lanes, optimize_capacitors(lanes)):
+        d = derive(replace(params, capacitor_j=opt.b_star_j))
+        rows.append(
+            SweepRow(
+                swept_value=params.power_w,
+                beta=d.beta,
+                pi=d.pi,
+                delta_analytic=opt.delta_star,
+                b_star=opt.b_star_j,
+                delta_star=opt.delta_star,
+                rate_bpcu=params.rate_bpcu,
+                boundary=opt.on_boundary,
             )
+        )
     return rows
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
 
 
 def rows_to_csv(rows) -> str:
     """Serialize sweep rows to the fixed CSV schema, one line per row."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _cell(row.swept_value),
-                    _cell(row.beta),
-                    _cell(row.pi),
-                    _cell(row.delta_analytic),
-                    _cell(row.delta_sim),
-                    _cell(row.delta_sim_ci),
-                    _cell(row.b_star),
-                    _cell(row.delta_star),
-                )
-            )
-        )
+        values = (getattr(row, key) for key in CSV_HEADER.split(","))
+        lines.append(",".join("" if v is None else repr(float(v)) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -277,10 +245,9 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
                 f"successes={n_successes}); nothing to validate"
             ),
         )
-    t_all, x_all, _ = extract_cycles(log)
-    attempt_idx = np.flatnonzero(log.success)
-    t_win = t_all[attempt_idx[0] + 1 : attempt_idx[-1] + 1].astype(float)
-    x_win = x_all[1:].astype(float)
+    window = measurement_window(log, config.warmup)
+    t_win = window.t.astype(float)
+    x_win = window.x.astype(float)
 
     rows = []
 
@@ -307,16 +274,13 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     moment_row("e_x", ref.e_x, x_win, 0.02)
     moment_row("e_x2", ref.e_x2, x_win * x_win, 0.02)
 
-    x_int = x_all[1:]
-    delta_hat = empirical_aoi(x_int)
-    delta_half = _ratio_batch_half(x_int)
-    delta_rel = abs(delta_hat - ref.delta) / ref.delta
+    delta_rel = abs(window.delta_hat - ref.delta) / ref.delta
     rows.append(
         ValidationRow(
             statistic="delta",
             analytic=ref.delta,
-            empirical=delta_hat,
-            ci_half=delta_half,
+            empirical=window.delta_hat,
+            ci_half=window.delta_ci_half,
             rel_err=delta_rel,
             tolerance=0.01,
             passed=delta_rel < 0.01,

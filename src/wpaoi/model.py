@@ -15,7 +15,9 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 __all__ = [
     "SystemParams",
@@ -23,6 +25,7 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "channel_rate_from_distance",
+    "beta_pi",
     "derive",
     "build_params",
 ]
@@ -102,6 +105,10 @@ class SystemParams:
     channel_rate: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.power_w <= 0.0:
             raise ValueError(f"power_w must be positive, got {self.power_w}")
         if not 0.0 < self.efficiency <= 1.0:
@@ -135,6 +142,46 @@ class DerivedParams:
             raise ValueError(f"pi must be in (0, 1], got {self.pi}")
 
 
+def _coefficients(p: SystemParams) -> tuple[float, float, float]:
+    """lambda, eta*P and lambda*(2**r - 1)*sigma^2: beta is lambda*B/(eta*P)
+    and pi is exp(-lambda*(2**r - 1)*sigma^2/B)."""
+    lam = p.channel_rate
+    return lam, p.efficiency * p.power_w, lam * (2.0**p.rate_bpcu - 1.0) * p.noise_w
+
+
+def beta_pi(params, capacitor_j):
+    """beta and pi of an operating point at each of the given capacitor sizes.
+
+    ``params`` is one SystemParams, whose own ``capacitor_j`` is not read, or
+    a sequence of them, one per lane; lane i then goes with
+    ``capacitor_j[i]`` and any further axes of ``capacitor_j`` broadcast.
+    pi is computed element by element with ``math.exp``, so an array entry
+    equals the scalar evaluation bit for bit; it is 0.0 where it underflows.
+
+    Returns floats for one point at one size, arrays otherwise.
+    """
+    # A float stays a Python float, which keeps derive's scalar call cheap.
+    if isinstance(capacitor_j, float):
+        b = capacitor_j
+        valid = 0.0 < b < math.inf
+    else:
+        b = np.asarray(capacitor_j, dtype=float)
+        valid = ((b > 0.0) & (b < math.inf)).all()
+    if not valid:
+        raise ValueError(f"capacitor sizes must be positive and finite, got {capacitor_j}")
+    if isinstance(params, SystemParams):
+        lam, eta_p, k = _coefficients(params)
+    else:
+        lanes = np.array([_coefficients(p) for p in params]).reshape(-1, 3)
+        lam, eta_p, k = lanes.T.reshape(3, -1, *(1,) * (np.ndim(b) - 1))
+    beta = lam * b / eta_p
+    exponent = k / b
+    pi = [math.exp(-e) for e in np.ravel(exponent).tolist()]
+    if isinstance(exponent, float):
+        return float(beta), pi[0]
+    return beta, np.array(pi).reshape(exponent.shape)
+
+
 def derive(params: SystemParams) -> DerivedParams:
     """Compute (beta, pi) for a physical operating point.
 
@@ -143,17 +190,10 @@ def derive(params: SystemParams) -> DerivedParams:
     the interarrival moments diverge there and no downstream quantity is
     meaningful.
     """
-    beta = params.channel_rate * params.capacitor_j / (params.efficiency * params.power_w)
-    exponent = (
-        params.channel_rate
-        * (2.0**params.rate_bpcu - 1.0)
-        * params.noise_w
-        / params.capacitor_j
-    )
-    pi = math.exp(-exponent)
+    beta, pi = beta_pi(params, params.capacitor_j)
     if pi <= 0.0:
         raise ValueError(
-            f"success probability underflows to zero (threshold exponent {exponent:.3g})"
+            f"success probability underflows to zero at capacitor_j {params.capacitor_j!r}"
         )
     return DerivedParams(beta=beta, pi=pi)
 

@@ -6,6 +6,11 @@ probability collapses), a large one is reliable but slow to fill. The
 minimizer is found by a coarse logarithmic grid scan followed by golden
 section refinement inside the best bracketing triple. The grid stage guards
 against the objective not being unimodal, which is not guaranteed.
+
+The search runs many operating points (lanes) in lockstep: each step
+evaluates every lane at once, and per-lane masks keep a lane's bracket fixed
+once it has converged. Every lane follows exactly the steps, and gets
+exactly the result, it would get searched alone.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import average_aoi
-from .model import SystemParams
+from .model import SystemParams, beta_pi
 
-__all__ = ["OptResult", "objective", "grid_scan", "optimize_capacitor"]
+__all__ = ["OptResult", "optimize_capacitor", "optimize_capacitors"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -41,51 +46,75 @@ class OptResult:
     on_boundary: bool = False
 
 
-def objective(params: SystemParams, b_j: float) -> float:
-    """Closed-form average age as a function of the capacitor size.
+def optimize_capacitors(
+    lanes,
+    b_lo: float = 1e-9,
+    b_hi: float = 1.0,
+    tol_rel: float = 1e-6,
+    n_grid: int = 256,
+) -> list[OptResult]:
+    """Find the age-minimizing capacitor size of each operating point in ``lanes``.
 
-    The ``capacitor_j`` field of ``params`` is ignored and replaced by
-    ``b_j``. Returns infinity when the success probability underflows to
-    zero (the true value diverges as B shrinks), so scans over wide brackets
-    stay total.
+    A log-spaced scan of ``n_grid`` points over [b_lo, b_hi] locates each
+    lane's best grid cell; ties go to the smaller capacitor, and a size whose
+    success probability underflows counts as an infinite age. Golden section
+    search then shrinks each lane's bracketing triple until its width
+    relative to the candidate is below ``tol_rel``.
+
+    If the scan puts a lane's minimum on the first or last grid point the
+    true minimizer is (or may be) outside the interval; the grid point is
+    returned with ``converged=False`` and ``on_boundary=True``.
     """
-    if b_j <= 0.0:
-        raise ValueError(f"capacitor size must be positive, got {b_j}")
-    lam = params.channel_rate
-    beta = lam * b_j / (params.efficiency * params.power_w)
-    pi = math.exp(-lam * (2.0**params.rate_bpcu - 1.0) * params.noise_w / b_j)
-    if pi == 0.0:
-        return math.inf
-    return average_aoi(beta, pi)
+    if not 0.0 < b_lo < b_hi < math.inf:
+        raise ValueError(f"need 0 < b_lo < b_hi < inf, got ({b_lo}, {b_hi})")
+    if not 0.0 < tol_rel < math.inf:
+        raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
+    if n_grid < 3:
+        raise ValueError(f"n_grid must be >= 3, got {n_grid}")
+    lanes = list(lanes)
+    grid = np.geomspace(b_lo, b_hi, n_grid)
+    vals = average_aoi(*beta_pi(lanes, np.broadcast_to(grid, (len(lanes), n_grid))))
+    idx = np.argmin(vals, axis=1)
+    interior = (idx > 0) & (idx < n_grid - 1)
+    a = grid[np.maximum(idx - 1, 0)]
+    c = grid[np.minimum(idx + 1, n_grid - 1)]
+    x1 = a + _INVPHI2 * (c - a)
+    x2 = a + _INVPHI * (c - a)
+    f1 = average_aoi(*beta_pi(lanes, x1))
+    f2 = average_aoi(*beta_pi(lanes, x2))
+    evaluations = np.where(interior, n_grid + 2, n_grid)
+    active = interior & ((c - a) > tol_rel * x1)
+    while active.any():
+        # Left lanes keep [a, x2] and probe a new x1; right lanes keep
+        # [x1, c] and probe a new x2.
+        left = active & (f1 <= f2)
+        right = active & ~left
+        c = np.where(left, x2, c)
+        a = np.where(right, x1, a)
+        x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
+        f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
+        x1 = np.where(left, a + _INVPHI2 * (c - a), x1)
+        x2 = np.where(right, a + _INVPHI * (c - a), x2)
+        f_new = average_aoi(*beta_pi(lanes, np.where(left, x1, x2)))
+        f1 = np.where(left, f_new, f1)
+        f2 = np.where(right, f_new, f2)
+        evaluations += active
+        active &= (c - a) > tol_rel * x1
 
-
-def grid_scan(params: SystemParams, b_values) -> tuple[int, np.ndarray]:
-    """Evaluate the objective on a grid of capacitor sizes.
-
-    Returns (argmin index, objective values). Ties break toward the smaller
-    capacitor. Values must be positive and non-decreasing.
-    """
-    b = np.asarray(b_values, dtype=float)
-    if b.size == 0:
-        raise ValueError("b_values must be non-empty")
-    if np.any(b <= 0.0):
-        raise ValueError("b_values must be positive")
-    if np.any(np.diff(b) < 0.0):
-        raise ValueError("b_values must be ascending")
-    lam = params.channel_rate
-    beta = lam * b / (params.efficiency * params.power_w)
-    pi = np.exp(-lam * (2.0**params.rate_bpcu - 1.0) * params.noise_w / b)
-    ok = pi > 0.0
-    pi_safe = np.where(ok, pi, 1.0)
-    e_t = 1.0 + beta
-    e_t2 = 1.0 + 3.0 * beta + beta * beta
-    # (1 - pi) / pi can overflow to inf when pi is denormal; inf is the
-    # intended value for such points, so the overflow signal is suppressed.
-    with np.errstate(over="ignore"):
-        vals = np.where(
-            ok, e_t2 / (2.0 * e_t) + e_t * (1.0 - pi_safe) / pi_safe + 0.5, np.inf
+    take_x1 = f1 <= f2
+    b_star = np.where(interior, np.where(take_x1, x1, x2), grid[idx])
+    delta_star = np.where(interior, np.where(take_x1, f1, f2), vals[np.arange(len(lanes)), idx])
+    return [
+        OptResult(
+            b_star_j=float(b_star[i]),
+            delta_star=float(delta_star[i]),
+            evaluations=int(evaluations[i]),
+            bracket=(float(a[i]), float(c[i])),
+            converged=bool(interior[i]),
+            on_boundary=not interior[i],
         )
-    return int(np.argmin(vals)), vals
+        for i in range(len(lanes))
+    ]
 
 
 def optimize_capacitor(
@@ -97,60 +126,7 @@ def optimize_capacitor(
 ) -> OptResult:
     """Find the capacitor size minimizing the closed-form average age.
 
-    A log-spaced scan of ``n_grid`` points over [b_lo, b_hi] locates the best
-    grid cell; golden section search then shrinks the bracketing triple until
-    its width relative to the candidate is below ``tol_rel``.
-
-    If the scan puts the minimum on the first or last grid point the true
-    minimizer is (or may be) outside the interval; the grid point is returned
-    with ``converged=False`` and ``on_boundary=True``.
+    The one-lane case of :func:`optimize_capacitors`; the ``capacitor_j``
+    field of ``params`` is not read.
     """
-    if not 0.0 < b_lo < b_hi:
-        raise ValueError(f"need 0 < b_lo < b_hi, got ({b_lo}, {b_hi})")
-    if tol_rel <= 0.0:
-        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be >= 3, got {n_grid}")
-    grid = np.geomspace(b_lo, b_hi, n_grid)
-    idx, vals = grid_scan(params, grid)
-    evaluations = n_grid
-    if idx == 0 or idx == n_grid - 1:
-        lo = float(grid[max(idx - 1, 0)])
-        hi = float(grid[min(idx + 1, n_grid - 1)])
-        return OptResult(
-            b_star_j=float(grid[idx]),
-            delta_star=float(vals[idx]),
-            evaluations=evaluations,
-            bracket=(lo, hi),
-            converged=False,
-            on_boundary=True,
-        )
-
-    a = float(grid[idx - 1])
-    c = float(grid[idx + 1])
-    x1 = a + _INVPHI2 * (c - a)
-    x2 = a + _INVPHI * (c - a)
-    f1 = objective(params, x1)
-    f2 = objective(params, x2)
-    evaluations += 2
-    while (c - a) > tol_rel * x1:
-        if f1 <= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = a + _INVPHI2 * (c - a)
-            f1 = objective(params, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (c - a)
-            f2 = objective(params, x2)
-        evaluations += 1
-    if f1 <= f2:
-        b_star, delta_star = x1, f1
-    else:
-        b_star, delta_star = x2, f2
-    return OptResult(
-        b_star_j=b_star,
-        delta_star=delta_star,
-        evaluations=evaluations,
-        bracket=(a, c),
-        converged=True,
-    )
+    return optimize_capacitors([params], b_lo, b_hi, tol_rel, n_grid)[0]

@@ -49,6 +49,8 @@ __all__ = [
     "NoSuccessError",
     "sample_events",
     "sample_slot_events",
+    "Window",
+    "measurement_window",
     "summarize",
     "simulate",
     "extract_cycles",
@@ -60,6 +62,9 @@ __all__ = [
 
 _BLOCK = 1 << 23
 _MAX_HORIZON = 1 << 62
+_INT64_MAX = (1 << 63) - 1
+# Largest X whose X*(X+1) fits in int64.
+_X_FITS = 3_037_000_499
 
 # Largest mean numpy's Poisson sampler accepts (its own limit, int64 max less
 # ten standard deviations); above it the first fill lies past ~9.2e18 slots.
@@ -348,11 +353,38 @@ def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t_list, x_list, m_list
 
 
+def _exact_sum(v: np.ndarray, top: int) -> int:
+    """Sum of non-negative int64 entries of at most ``top``, as a Python int.
+
+    Chunks of up to INT64_MAX // top entries are summed in int64, which
+    cannot wrap, and the chunk sums are added as Python ints.
+    """
+    step = _INT64_MAX // max(top, 1)
+    return sum(int(v[i : i + step].sum()) for i in range(0, v.size, step))
+
+
+def _area(x: np.ndarray) -> int:
+    """Exact sum of X*(X+1)/2 over int64 X >= 1, the slot ages of whole cycles.
+
+    Every X*(X+1) is even, so this is half the sum of X*(X+1). Entries
+    above ``_X_FITS``, whose X*(X+1) would wrap in int64, are summed as
+    Python ints.
+    """
+    top = int(x.max()) if x.size else 0
+    if top > _X_FITS:
+        big = x > _X_FITS
+        return _area(x[~big]) + sum(v * (v + 1) // 2 for v in x[big].tolist())
+    q = x + 1
+    q *= x
+    return _exact_sum(q, top * (top + 1)) // 2
+
+
 def empirical_aoi(x_intervals) -> float:
     """Time-average age over whole interarrival cycles.
 
     An interarrival of X slots contributes ages 1, 2, ..., X, an area of
     X*(X+1)/2, so the average is the ratio of total area to total slots.
+    Both totals are exact integers however long the run.
     """
     x = np.asarray(x_intervals)
     if x.size == 0:
@@ -361,10 +393,15 @@ def empirical_aoi(x_intervals) -> float:
         if not np.all(np.equal(np.mod(x, 1), 0)):
             raise ValueError("interarrival samples must be integers")
     x = x.astype(np.int64)
-    if np.any(x < 1):
+    if x.min() < 1:
         raise ValueError("interarrival samples must be >= 1")
-    area = np.sum(x * (x + 1) // 2)
-    return float(area) / float(np.sum(x))
+    return float(_area(x)) / float(_exact_sum(x, int(x.max())))
+
+
+def _t_half(estimates: list) -> float:
+    """Student-t 95% half-width for the mean of independent batch estimates."""
+    k = len(estimates)
+    return float(student_t.ppf(0.975, k - 1)) * float(np.std(estimates, ddof=1)) / math.sqrt(k)
 
 
 def batch_ci(samples, n_batches: int = 20) -> tuple[float, float]:
@@ -380,10 +417,8 @@ def batch_ci(samples, n_batches: int = 20) -> tuple[float, float]:
         raise ValueError(f"n_batches must be >= 2, got {n_batches}")
     if arr.size < n_batches:
         raise ValueError(f"need at least {n_batches} samples, got {arr.size}")
-    means = np.array([float(np.mean(b)) for b in np.array_split(arr, n_batches)])
-    spread = float(np.std(means, ddof=1))
-    quantile = float(student_t.ppf(0.975, n_batches - 1))
-    return float(np.mean(arr)), quantile * spread / math.sqrt(n_batches)
+    means = [float(np.mean(b)) for b in np.array_split(arr, n_batches)]
+    return float(np.mean(arr)), _t_half(means)
 
 
 def _ratio_batch_half(x_cycles: np.ndarray, n_batches: int = 20) -> float:
@@ -391,22 +426,37 @@ def _ratio_batch_half(x_cycles: np.ndarray, n_batches: int = 20) -> float:
     k = min(n_batches, x_cycles.size)
     if k < 2:
         return math.nan
-    deltas = np.array([empirical_aoi(b) for b in np.array_split(x_cycles, k)])
-    spread = float(np.std(deltas, ddof=1))
-    quantile = float(student_t.ppf(0.975, k - 1))
-    return quantile * spread / math.sqrt(k)
+    return _t_half([empirical_aoi(b) for b in np.array_split(x_cycles, k)])
 
 
-def summarize(log: EventLog, warmup: Warmup) -> SimStats:
-    """Reduce an event log to empirical statistics.
+@dataclass(frozen=True)
+class Window:
+    """The cycles inside a measurement window and the age measured over it.
 
-    Under the default warmup the statistics cover the window between the
-    first and last decoded update, and the reported age average equals the
-    closed decomposition sum(X*(X+1)/2)/sum(X) over the windowed cycles as
-    an exact integer identity. Under FULL_HORIZON the age average counts
-    every slot: the initial charge-up ages lead in with ages 2, 3, ... up to
-    the first update and the unfinished tail keeps climbing to the horizon,
-    both evaluated in closed form.
+    ``t``, ``x`` and ``m`` are the recharge times, interarrival times and
+    attempts per update of the cycles the window keeps. ``delta_hat`` is the
+    time-average age over its ``n_slots`` slots, and ``delta_ci_half`` the
+    batch-means 95% half-width of that age over the cycles.
+    """
+
+    t: np.ndarray
+    x: np.ndarray
+    m: np.ndarray
+    delta_hat: float
+    delta_ci_half: float
+    n_slots: int
+
+
+def measurement_window(log: EventLog, warmup: Warmup) -> Window:
+    """Cut an event log to the measurement window of ``warmup``.
+
+    Under the default warmup the window runs from the first to the last
+    decoded update, and the age average equals the closed decomposition
+    sum(X*(X+1)/2)/sum(X) over the windowed cycles as an exact integer
+    identity. Under FULL_HORIZON the window is every slot and every cycle:
+    the initial charge-up ages lead in with ages 2, 3, ... up to the first
+    update and the unfinished tail keeps climbing to the horizon, both
+    evaluated in closed form.
 
     Raises
     ------
@@ -414,16 +464,10 @@ def summarize(log: EventLog, warmup: Warmup) -> SimStats:
         If no update is decoded, or under the windowed warmup if fewer than
         two are (no complete cycle fits in the window).
     """
-    fills = log.fill_slots
-    n_recharges = int(fills.size)
-    n_attempts = int(log.success.size)
     n_successes = int(np.count_nonzero(log.success))
-    horizon = log.horizon_slots
-
+    counts = (int(log.fill_slots.size), int(log.success.size), n_successes, log.horizon_slots)
     if n_successes == 0:
-        raise NoSuccessError(
-            "no decoded update in horizon", n_recharges, n_attempts, n_successes, horizon
-        )
+        raise NoSuccessError("no decoded update in horizon", *counts)
 
     t_all, x_all, m_all = extract_cycles(log)
     attempt_idx = np.flatnonzero(log.success)
@@ -431,45 +475,53 @@ def summarize(log: EventLog, warmup: Warmup) -> SimStats:
     if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
         if n_successes < 2:
             raise NoSuccessError(
-                "fewer than two decoded updates, measurement window is empty",
-                n_recharges,
-                n_attempts,
-                n_successes,
-                horizon,
+                "fewer than two decoded updates, measurement window is empty", *counts
             )
-        t_win = t_all[attempt_idx[0] + 1 : attempt_idx[-1] + 1]
         x_win = x_all[1:]
-        m_win = m_all[1:]
-        delta_hat = empirical_aoi(x_win)
-        ci_half = _ratio_batch_half(x_win)
-        n_slots_measured = int(np.sum(x_win))
-    else:
-        success_slots = fills[attempt_idx] + 1
-        u_first = int(success_slots[0])
-        u_last = int(success_slots[-1])
-        head = u_first * (u_first + 1) // 2 - 1
-        x_mid = np.diff(success_slots)
-        mid = int(np.sum(x_mid * (x_mid + 1) // 2))
-        tail_len = horizon - u_last + 1
-        tail = tail_len * (tail_len + 1) // 2
-        delta_hat = float(head + mid + tail) / float(horizon)
-        t_win, x_win, m_win = t_all, x_all, m_all
-        ci_half = _ratio_batch_half(x_win)
-        n_slots_measured = horizon
+        return Window(
+            t=t_all[attempt_idx[0] + 1 : attempt_idx[-1] + 1],
+            x=x_win,
+            m=m_all[1:],
+            delta_hat=empirical_aoi(x_win),
+            delta_ci_half=_ratio_batch_half(x_win),
+            n_slots=int(np.sum(x_win)),
+        )
+    horizon = log.horizon_slots
+    success_slots = log.fill_slots[attempt_idx] + 1
+    u_first = int(success_slots[0])
+    u_last = int(success_slots[-1])
+    head = u_first * (u_first + 1) // 2 - 1
+    mid = _area(np.diff(success_slots))
+    tail_len = horizon - u_last + 1
+    tail = tail_len * (tail_len + 1) // 2
+    return Window(
+        t=t_all,
+        x=x_all,
+        m=m_all,
+        delta_hat=float(head + mid + tail) / float(horizon),
+        delta_ci_half=_ratio_batch_half(x_all),
+        n_slots=horizon,
+    )
 
-    t_f = t_win.astype(float)
-    x_f = x_win.astype(float)
+
+def summarize(log: EventLog, warmup: Warmup) -> SimStats:
+    """Reduce an event log to empirical statistics over the measurement
+    window of ``warmup`` (see :func:`measurement_window`, which raises
+    NoSuccessError when too few updates are decoded)."""
+    window = measurement_window(log, warmup)
+    t_f = window.t.astype(float)
+    x_f = window.x.astype(float)
     return SimStats(
-        delta_hat=delta_hat,
-        delta_ci_half=ci_half,
+        delta_hat=window.delta_hat,
+        delta_ci_half=window.delta_ci_half,
         t_samples_mean=float(np.mean(t_f)) if t_f.size else math.nan,
         t_samples_m2=float(np.mean(t_f * t_f)) if t_f.size else math.nan,
         x_samples_mean=float(np.mean(x_f)),
         x_samples_m2=float(np.mean(x_f * x_f)),
-        m_mean=float(np.mean(m_win)),
-        n_recharges=n_recharges,
-        n_successes=n_successes,
-        n_slots_measured=n_slots_measured,
+        m_mean=float(np.mean(window.m)),
+        n_recharges=int(log.fill_slots.size),
+        n_successes=int(np.count_nonzero(log.success)),
+        n_slots_measured=window.n_slots,
     )
 
 

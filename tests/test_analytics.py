@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from wpaoi import (
+    SystemParams,
     analytic_report,
     aoi_limit_fixed_B,
     aoi_limit_ratio,
     average_aoi,
+    beta_pi,
     interarrival_moments,
     mean_peak_area,
     recharge_moments,
     recharge_pmf,
-    success_probability,
     truncation_k_max,
 )
 
@@ -103,23 +104,36 @@ def test_recharge_variance_identity_exact_on_dyadic_grid(numerator):
     assert e_t2 - e_t * e_t == beta
 
 
+def _success_probability(channel_rate, rate_bpcu, noise_w, capacitor_j):
+    """pi from the model's one formula; the power terms do not enter it."""
+    params = SystemParams(
+        power_w=1.0,
+        efficiency=1.0,
+        noise_w=noise_w,
+        rate_bpcu=rate_bpcu,
+        capacitor_j=1.0,
+        channel_rate=channel_rate,
+    )
+    return beta_pi(params, capacitor_j)[1]
+
+
 def test_success_probability_reference_points():
-    assert success_probability(1.0, 0.0, 1.0, 1.0) == 1.0
-    assert success_probability(1.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert success_probability(
+    assert _success_probability(1.0, 0.0, 1.0, 1.0) == 1.0
+    assert _success_probability(1.0, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert _success_probability(
         728225.68121043211, 0.05, 1e-8, 3e-4
     ) == pytest.approx(0.42484646269601529, rel=1e-12)
 
 
 def test_success_probability_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        success_probability(0.0, 0.05, 1e-8, 3e-4)
+        _success_probability(0.0, 0.05, 1e-8, 3e-4)
     with pytest.raises(ValueError):
-        success_probability(1.0, -0.05, 1e-8, 3e-4)
+        _success_probability(1.0, -0.05, 1e-8, 3e-4)
     with pytest.raises(ValueError):
-        success_probability(1.0, 0.05, 0.0, 3e-4)
+        _success_probability(1.0, 0.05, 0.0, 3e-4)
     with pytest.raises(ValueError):
-        success_probability(1.0, 0.05, 1e-8, 0.0)
+        _success_probability(1.0, 0.05, 1e-8, 0.0)
 
 
 def test_interarrival_moments_reference_points():

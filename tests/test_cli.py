@@ -52,6 +52,38 @@ def test_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--power-w", "nan", "--capacitor-j", "3e-4"],
+        ["analytic", "--power-w", "3", "--capacitor-j", "inf"],
+        ["optimize", "--power-w", "inf"],
+        ["optimize", "--power-w", "3", "--b-hi", "inf"],
+        ["optimize", "--power-w", "3", "--tol-rel", "nan"],
+        ["sweep-b", "--power-w", "3", "--b-values", "1e-4,inf"],
+        ["sweep-p", "--power-w", "3", "--p-values", "1,-inf"],
+        ["sweep-p", "--power-w", "3", "--p-values", "1,3", "--r-values", "0.05,nan"],
+        ["simulate", "--power-w", "3", "--capacitor-j", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_input_is_domain_error(capsys, argv):
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert "error" in captured.err and captured.out == ""
+
+
+def test_long_horizon_age_does_not_wrap(capsys):
+    code = run_cli(
+        ["simulate", "--power-w", "3e-5", "--capacitor-j", "3e-4",
+         "--horizon", "3000000000000", "--seed", "1"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    # the closed form is 2.70e7; a wrapped sum gave 2.08e6
+    assert abs(payload["delta_hat"] - 26999574.662277177) < 3.0 * payload["delta_ci_half"]
+
+
 def test_no_success_exit_code(capsys):
     code = run_cli(
         ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "5"]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ def test_sweep_spec_validation(ref_point):
         SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(1e-3, 1e-4))
     with pytest.raises(ValueError):
         SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(-1e-4,))
+    # only capacitor and power sweeps exist
+    for field in ("distance", "rate_bpcu"):
+        with pytest.raises(ValueError):
+            SweepSpec(base=ref_point(), swept_field=field, values=(1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_values_must_be_finite(ref_point, bad):
+    with pytest.raises(ValueError):
+        SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(1e-4, bad))
+    spec = SweepSpec(base=ref_point(), swept_field="power_w", values=(1.0, 3.0))
+    with pytest.raises(ValueError):
+        sweep_minaoi_vs_P(spec, r_values=[0.05, bad])
 
 
 def test_capacitor_sweep_analytic_rows(ref_point):
@@ -78,15 +92,6 @@ def test_capacitor_sweep_flags_failed_points(ref_point):
     rows = sweep_aoi_vs_B(spec)
     assert rows[0].sim_error is None and rows[0].delta_sim is not None
     assert rows[1].sim_error is not None and rows[1].delta_sim is None
-
-
-def test_distance_sweep_maps_through_power_law(ref_point):
-    from wpaoi.experiments import _params_at
-
-    spec = SweepSpec(base=ref_point(), swept_field="distance", values=(10.0, 20.0, 40.0))
-    rates = [_params_at(spec, v).channel_rate for v in spec.values]
-    assert all(a < b for a, b in zip(rates, rates[1:]))
-    assert rates[1] == pytest.approx(728225.68121043211, rel=1e-12)
 
 
 def test_minimum_age_sweep_orderings(ref_point):

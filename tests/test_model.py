@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import REF_LAMBDA
 from wpaoi import (
     SystemParams,
+    beta_pi,
     build_params,
     channel_rate_from_distance,
     dbm_to_watts,
@@ -73,6 +75,15 @@ def test_system_params_validation():
             SystemParams(**{**good, field: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["power_w", "efficiency", "noise_w", "rate_bpcu", "capacitor_j", "channel_rate"]
+)
+def test_system_params_rejects_non_finite(ref_point, field, bad):
+    with pytest.raises(ValueError, match=field):
+        ref_point(**{field: bad})
+
+
 def test_system_params_is_immutable(ref_point):
     params = ref_point()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -102,6 +113,21 @@ def test_derive_reference_point(ref_point):
     d = derive(ref_point())
     assert d.beta == pytest.approx(145.64513624208642, rel=1e-12)
     assert d.pi == pytest.approx(0.42484646269601529, rel=1e-12)
+
+
+def test_beta_pi_lanes_match_derive_bit_for_bit(ref_point):
+    lanes = [ref_point(power_w=p, rate_bpcu=r) for p in (1.0, 3.0) for r in (0.0, 0.05, 0.1)]
+    sizes = np.geomspace(1e-6, 1e-1, 7)
+    beta, pi = beta_pi(lanes, np.broadcast_to(sizes, (len(lanes), sizes.size)))
+    assert beta.shape == pi.shape == (len(lanes), sizes.size)
+    for i, params in enumerate(lanes):
+        # one size per lane
+        assert beta_pi(lanes, sizes[:len(lanes)])[0][i] == beta[i, i]
+        for j, b in enumerate(sizes):
+            d = derive(dataclasses.replace(params, capacitor_j=float(b)))
+            assert (beta[i, j], pi[i, j]) == (d.beta, d.pi)
+    with pytest.raises(ValueError):
+        beta_pi(lanes, np.full(len(lanes), math.nan))
 
 
 def test_derive_rejects_underflowing_success_probability(ref_point):

@@ -12,6 +12,8 @@ from wpaoi import (
     Warmup,
     average_aoi,
     batch_ci,
+    build_params,
+    dbm_to_watts,
     derive,
     empirical_aoi,
     extract_cycles,
@@ -114,6 +116,26 @@ def test_empirical_aoi_reference_points():
     assert empirical_aoi([1, 1, 1]) == 1.0
     assert empirical_aoi([2, 3]) == pytest.approx(1.8, rel=1e-15)
     assert empirical_aoi([5]) == 3.0
+
+
+def test_empirical_aoi_sums_exactly_past_int64():
+    # X*(X+1) of X near 2**32 passes 2**63
+    assert empirical_aoi([2**32, 2**32 + 1, 3]) == 2147483648.0
+    # each X*(X+1) fits in int64, but the sum of the areas does not
+    assert empirical_aoi([3_000_000_000] * 4) == 1_500_000_000.5
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_age_sums_do_not_wrap_at_long_horizons(warmup):
+    # beta = 1.46e7 over 3e12 slots: the age total is ~8e19, past 2**63
+    params, _ = build_params(
+        power_w=3e-5, capacitor_j=3e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
+    )
+    d = derive(params)
+    stats = simulate(SimConfig(params, 3_000_000_000_000, 1, warmup=warmup))
+    target = average_aoi(d.beta, d.pi)
+    assert stats.delta_ci_half < 0.02 * target
+    assert abs(stats.delta_hat - target) < 3.0 * stats.delta_ci_half
 
 
 def test_empirical_aoi_rejects_bad_input():
