@@ -16,6 +16,7 @@ parameter values), 4 when a simulation decodes too few updates to measure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -233,6 +234,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wpaoi",
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--r-values",
         type=_float_list,
-        default=[0.05],
+        default=(0.05,),
         help="comma-separated spectral efficiencies (default 0.05)",
     )
     p.set_defaults(func=_cmd_sweep_p)
@@ -304,9 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built once per process and shared by every call: building
+    it (six subcommands, some eighty options) costs more than a closed-form
+    command itself. Parsing does not change it, and no option has a mutable
+    default, so no call sees another's arguments.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

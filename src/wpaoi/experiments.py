@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .analytics import analytic_report, average_aoi
-from .model import SystemParams, derive
+from .model import SystemParams, beta_pi, derive
 from .optimizer import optimize_capacitors
 from .simulator import (
     NoSuccessError,
@@ -108,19 +108,26 @@ class SweepRow:
 def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
     """Average age at each capacitor size, optionally validated by simulation.
 
-    A sweep point whose simulation produces no decoded update is flagged in
-    the row rather than aborting the sweep.
+    The closed forms of all sizes come from one broadcast evaluation of
+    :func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`,
+    equal bit for bit to evaluating each size alone. A size whose success
+    probability underflows raises the ValueError of
+    :func:`~wpaoi.model.derive`. A sweep point whose simulation produces no
+    decoded update is flagged in the row rather than aborting the sweep.
     """
     if spec.swept_field != "capacitor_j":
         raise ValueError(f"expected a capacitor_j sweep, got {spec.swept_field!r}")
+    beta, pi = beta_pi(spec.base, np.array(spec.values))
+    if not pi.all():
+        # derive raises its underflow error at the first such size
+        derive(replace(spec.base, capacitor_j=spec.values[int(np.argmin(pi))]))
+    delta = average_aoi(beta, pi)
     rows = []
-    for value in spec.values:
-        params = replace(spec.base, capacitor_j=value)
-        d = derive(params)
+    for value, b, p, age in zip(spec.values, beta.tolist(), pi.tolist(), delta.tolist()):
         delta_sim = delta_sim_ci = None
         sim_error = None
         if spec.with_simulation:
-            config = SimConfig(params, spec.horizon_slots, spec.seed)
+            config = SimConfig(replace(spec.base, capacitor_j=value), spec.horizon_slots, spec.seed)
             try:
                 stats = simulate(config)
                 delta_sim = stats.delta_hat
@@ -130,9 +137,9 @@ def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
         rows.append(
             SweepRow(
                 swept_value=value,
-                beta=d.beta,
-                pi=d.pi,
-                delta_analytic=average_aoi(d.beta, d.pi),
+                beta=b,
+                pi=p,
+                delta_analytic=age,
                 delta_sim=delta_sim,
                 delta_sim_ci=delta_sim_ci,
                 sim_error=sim_error,
@@ -187,7 +194,10 @@ def rows_to_csv(rows) -> str:
 
 def rows_to_json(rows) -> str:
     """Serialize sweep rows to JSON with every field present."""
-    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+    # Every field is a scalar, so a shallow dict equals dataclasses.asdict,
+    # which deep-copies each value.
+    records = [{f.name: getattr(row, f.name) for f in fields(row)} for row in rows]
+    return json.dumps(records, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

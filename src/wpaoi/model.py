@@ -169,17 +169,34 @@ def beta_pi(params, capacitor_j):
         valid = ((b > 0.0) & (b < math.inf)).all()
     if not valid:
         raise ValueError(f"capacitor sizes must be positive and finite, got {capacitor_j}")
+    return _beta_pi_at(params)(b)
+
+
+def _beta_pi_at(params):
+    """:func:`beta_pi` with the operating points bound: a function of the
+    capacitor sizes alone, which does not check them. The lane coefficients
+    are computed once, here, so a search that evaluates the same lanes many
+    times does not rebuild them at every step."""
     if isinstance(params, SystemParams):
         lam, eta_p, k = _coefficients(params)
     else:
-        lanes = np.array([_coefficients(p) for p in params]).reshape(-1, 3)
-        lam, eta_p, k = lanes.T.reshape(3, -1, *(1,) * (np.ndim(b) - 1))
-    beta = lam * b / eta_p
-    exponent = k / b
-    pi = [math.exp(-e) for e in np.ravel(exponent).tolist()]
-    if isinstance(exponent, float):
-        return float(beta), pi[0]
-    return beta, np.array(pi).reshape(exponent.shape)
+        lam, eta_p, k = np.array([_coefficients(p) for p in params]).reshape(-1, 3).T
+
+    def at(b):
+        if isinstance(lam, np.ndarray) and np.ndim(b) > 1:
+            # lane i goes with b[i]; further axes of b broadcast
+            lane_shape = (-1, *(1,) * (np.ndim(b) - 1))
+            beta = lam.reshape(lane_shape) * b / eta_p.reshape(lane_shape)
+            exponent = k.reshape(lane_shape) / b
+        else:
+            beta = lam * b / eta_p
+            exponent = k / b
+        pi = [math.exp(-e) for e in np.ravel(exponent).tolist()]
+        if isinstance(exponent, float):
+            return float(beta), pi[0]
+        return beta, np.array(pi).reshape(exponent.shape)
+
+    return at
 
 
 def derive(params: SystemParams) -> DerivedParams:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import average_aoi
-from .model import SystemParams, beta_pi
+from .model import SystemParams, _beta_pi_at
 
 __all__ = ["OptResult", "optimize_capacitor", "optimize_capacitors"]
 
@@ -72,16 +72,18 @@ def optimize_capacitors(
     if n_grid < 3:
         raise ValueError(f"n_grid must be >= 3, got {n_grid}")
     lanes = list(lanes)
+    # Every size below lies in [b_lo, b_hi], so none needs checking again.
+    at = _beta_pi_at(lanes)
     grid = np.geomspace(b_lo, b_hi, n_grid)
-    vals = average_aoi(*beta_pi(lanes, np.broadcast_to(grid, (len(lanes), n_grid))))
+    vals = average_aoi(*at(np.broadcast_to(grid, (len(lanes), n_grid))))
     idx = np.argmin(vals, axis=1)
     interior = (idx > 0) & (idx < n_grid - 1)
     a = grid[np.maximum(idx - 1, 0)]
     c = grid[np.minimum(idx + 1, n_grid - 1)]
     x1 = a + _INVPHI2 * (c - a)
     x2 = a + _INVPHI * (c - a)
-    f1 = average_aoi(*beta_pi(lanes, x1))
-    f2 = average_aoi(*beta_pi(lanes, x2))
+    f1 = average_aoi(*at(x1))
+    f2 = average_aoi(*at(x2))
     evaluations = np.where(interior, n_grid + 2, n_grid)
     active = interior & ((c - a) > tol_rel * x1)
     while active.any():
@@ -95,7 +97,7 @@ def optimize_capacitors(
         f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
         x1 = np.where(left, a + _INVPHI2 * (c - a), x1)
         x2 = np.where(right, a + _INVPHI * (c - a), x2)
-        f_new = average_aoi(*beta_pi(lanes, np.where(left, x1, x2)))
+        f_new = average_aoi(*at(np.where(left, x1, x2)))
         f1 = np.where(left, f_new, f1)
         f2 = np.where(right, f_new, f2)
         evaluations += active

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import t as student_t
 
-from .model import SystemParams
+from .model import SystemParams, beta_pi
 
 __all__ = [
     "Warmup",
@@ -236,7 +236,7 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     """
     p = config.params
     horizon = config.horizon_slots
-    beta = p.channel_rate * p.capacitor_j / (p.efficiency * p.power_w)
+    beta, _ = beta_pi(p, p.capacitor_j)
     h_rng, g_rng = _spawn_streams(config.seed)
     fill_slots = _renewal_fills(h_rng, beta, horizon, block)
     return EventLog(fill_slots, _decodes(p, g_rng, fill_slots, horizon), horizon)
@@ -344,9 +344,9 @@ def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if fills.size:
         if fills[0] < 1 or int(fills[-1]) > log.horizon_slots:
             raise ValueError("fill slots outside the simulated horizon")
-        if np.any(np.diff(fills) <= 0):
-            raise ValueError("fill slots must be strictly increasing")
     t_list = np.diff(fills, prepend=np.int64(0))
+    if np.any(t_list[1:] <= 0):
+        raise ValueError("fill slots must be strictly increasing")
     attempt_idx = np.flatnonzero(success)
     x_list = np.diff(fills[attempt_idx], prepend=np.int64(0))
     m_list = np.diff(attempt_idx + 1, prepend=np.int64(0))

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wpaoi
 from wpaoi import SimConfig, build_params, dbm_to_watts, sample_events
 from wpaoi.cli import run_cli
 
@@ -220,3 +224,47 @@ def test_validate_single_success_reports_attempts(capsys):
     err = capsys.readouterr().err
     assert f"attempts={attempts}," in err
     assert "successes=1," in err
+
+
+def _design_session(fmt: str) -> list:
+    """The closed-form commands of the benchmark's design session, plus a
+    power sweep at the default spectral efficiency."""
+    b_values = ",".join(repr(float(b)) for b in np.geomspace(1e-6, 1e-1, 100))
+    p_values = ",".join(repr(float(p)) for p in np.geomspace(0.1, 100.0, 25))
+    return [
+        ["analytic", "--power-w", "3", "--capacitor-j", "3e-4", "--format", fmt],
+        ["optimize", "--power-w", "3", "--format", fmt],
+        ["sweep-b", "--power-w", "3", "--b-values", b_values, "--format", fmt],
+        ["sweep-p", "--power-w", "3", "--p-values", p_values, "--r-values", "0.05,0.1",
+         "--format", fmt],
+        ["sweep-p", "--power-w", "3", "--p-values", "1,3", "--format", fmt],
+    ]
+
+
+def test_repeated_calls_match_a_fresh_process(tmp_path, capsys):
+    """run_cli shares one parser between calls; no call may leak into the next."""
+    commands = _design_session("json") + _design_session("csv")
+    # One new process, with the parser rebuilt before every command.
+    script = (
+        "import json, sys\n"
+        "from wpaoi import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    cli.build_parser.cache_clear()\n"
+        "    assert cli.run_cli([*argv, '--out', f'{sys.argv[2]}/fresh{i}']) == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(wpaoi.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stderr == ""
+    for round_ in range(2):
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"round{round_}-{i}"
+            assert run_cli([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / f"fresh{i}").read_bytes(), argv
+            assert capsys.readouterr() == ("", "")
+        assert run_cli(["sweep-p", "--power-w", "3", "--p-values", "1,3", "--r-values", "0.1",
+                        "--out", str(tmp_path / "between")]) == 0

@@ -1,12 +1,16 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from wpaoi import (
     CSV_HEADER,
+    SweepRow,
     SweepSpec,
+    average_aoi,
+    derive,
     format_validation_report,
     rows_to_csv,
     rows_to_json,
@@ -57,6 +61,29 @@ def test_capacitor_sweep_analytic_rows(ref_point):
     assert rows[1].delta_analytic < rows[0].delta_analytic
     assert rows[1].delta_analytic < rows[2].delta_analytic
     assert all(r.delta_sim is None and r.b_star is None for r in rows)
+
+
+def test_capacitor_sweep_equals_point_by_point_closed_forms(ref_point):
+    # the 100 sizes of the benchmark's design session
+    sizes = tuple(float(b) for b in np.geomspace(1e-6, 1e-1, 100))
+    base = ref_point()
+    rows = sweep_aoi_vs_B(SweepSpec(base=base, swept_field="capacitor_j", values=sizes))
+    assert [r.swept_value for r in rows] == list(sizes)
+    for row, b in zip(rows, sizes):
+        d = derive(replace(base, capacitor_j=b))
+        assert (row.beta, row.pi, row.delta_analytic) == (d.beta, d.pi, average_aoi(d.beta, d.pi))
+        assert all(type(v) is float for v in (row.beta, row.pi, row.delta_analytic))
+
+
+def test_capacitor_sweep_underflow_raises_derive_error(ref_point):
+    base = ref_point()
+    with pytest.raises(ValueError) as expected:
+        derive(replace(base, capacitor_j=1e-13))
+    spec = SweepSpec(base=base, swept_field="capacitor_j", values=(1e-13, 1e-12, 3e-4))
+    with pytest.raises(ValueError) as raised:
+        sweep_aoi_vs_B(spec)
+    assert str(raised.value) == str(expected.value)
+    assert "capacitor_j 1e-13" in str(raised.value)
 
 
 def test_capacitor_sweep_monotone_when_threshold_vanishes(ref_point):
@@ -159,6 +186,33 @@ def test_json_rows_carry_all_fields(ref_point):
     assert payload[0]["b_star"] == pytest.approx(3.37026978103e-4, rel=5e-3)
     assert payload[0]["boundary"] is False
     assert payload[0]["sim_error"] is None
+
+
+def test_json_rows_equal_dataclass_asdict():
+    rows = [
+        SweepRow(swept_value=1e-4, beta=48.5, pi=0.1, delta_analytic=622.36583866962915),
+        SweepRow(
+            swept_value=3.0,
+            beta=0.1 + 0.2,
+            pi=1.0,
+            delta_analytic=2.5,
+            b_star=3.37e-4,
+            delta_star=271.3899473,
+            rate_bpcu=0.05,
+            boundary=True,
+        ),
+        SweepRow(
+            swept_value=1e-3,
+            beta=1e300,
+            pi=5e-324,
+            delta_analytic=math.inf,
+            delta_sim=386.5,
+            delta_sim_ci=1.25,
+            sim_error="fewer than two decoded updates",
+        ),
+    ]
+    assert rows_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+    assert rows_to_json([]) == "[]\n"
 
 
 def test_validation_report_toy_point_passes(toy_point):
