@@ -22,15 +22,7 @@ import numpy as np
 from .analytics import analytic_report, average_aoi
 from .model import SystemParams, beta_pi, derive
 from .optimizer import optimize_capacitors
-from .simulator import (
-    NoSuccessError,
-    SimConfig,
-    Warmup,
-    batch_ci,
-    measurement_window,
-    sample_events,
-    simulate,
-)
+from .simulator import NoSuccessError, SimConfig, Warmup, cycle_sums, sample_events, simulate
 
 __all__ = [
     "SweepSpec",
@@ -165,22 +157,26 @@ def sweep_minaoi_vs_P(spec: SweepSpec, r_values) -> list[SweepRow]:
     lanes = [
         replace(spec.base, power_w=power, rate_bpcu=r) for r in r_vals for power in spec.values
     ]
-    rows = []
-    for params, opt in zip(lanes, optimize_capacitors(lanes)):
-        d = derive(replace(params, capacitor_j=opt.b_star_j))
-        rows.append(
-            SweepRow(
-                swept_value=params.power_w,
-                beta=d.beta,
-                pi=d.pi,
-                delta_analytic=opt.delta_star,
-                b_star=opt.b_star_j,
-                delta_star=opt.delta_star,
-                rate_bpcu=params.rate_bpcu,
-                boundary=opt.on_boundary,
-            )
+    opts = optimize_capacitors(lanes)
+    b_stars = [opt.b_star_j for opt in opts]
+    beta, pi = beta_pi(lanes, np.array(b_stars))
+    if not pi.all():
+        # derive raises its underflow error at the first such lane
+        k = int(np.argmin(pi))
+        derive(replace(lanes[k], capacitor_j=b_stars[k]))
+    return [
+        SweepRow(
+            swept_value=params.power_w,
+            beta=b,
+            pi=p,
+            delta_analytic=opt.delta_star,
+            b_star=opt.b_star_j,
+            delta_star=opt.delta_star,
+            rate_bpcu=params.rate_bpcu,
+            boundary=opt.on_boundary,
         )
-    return rows
+        for params, opt, b, p in zip(lanes, opts, beta.tolist(), pi.tolist())
+    ]
 
 
 def rows_to_csv(rows) -> str:
@@ -228,84 +224,61 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
 
     The five compared statistics are the recharge-time and interarrival
     moments (first and second of each) plus the average age. Moments must
-    agree within 2%
-    relative, the age within 1%. Confidence half-widths are batch-means 95%
-    intervals over the windowed cycle samples. A run with too few decoded
-    updates produces a report with no rows and the failure recorded in
+    agree within 2% relative, the age within 1%. The run is sampled with
+    :func:`~wpaoi.simulator.sample_events` and reduced once by
+    :func:`~wpaoi.simulator.cycle_sums` over the window between the first
+    and the last decoded update. The recharge times are i.i.d., and so are
+    the interarrival times, so the moment rows carry i.i.d. 95% half-widths;
+    the age row carries the regenerative one of
+    :class:`~wpaoi.simulator.SimStats`. A run with too few decoded updates
+    produces a report with no rows and the failure recorded in
     ``sim_error``.
     """
     d = derive(params)
     ref = analytic_report(d.beta, d.pi)
-    config = SimConfig(params, horizon, seed, warmup=Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS)
-    log = sample_events(config)
-    n_recharges = int(log.fill_slots.size)
-    n_attempts = int(log.success.size)
-    n_successes = int(np.count_nonzero(log.success))
-    if n_successes < 2:
+    warmup = Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
+    sums = cycle_sums(sample_events(SimConfig(params, horizon, seed, warmup=warmup)))
+    counts = {
+        "n_recharges": sums.n_fills,
+        "n_attempts": sums.n_attempts,
+        "n_successes": sums.n_successes,
+        "horizon_slots": horizon,
+        "seed": seed,
+    }
+    if sums.n_successes < 2:
         return ValidationReport(
             rows=(),
             all_passed=False,
-            n_recharges=n_recharges,
-            n_attempts=n_attempts,
-            n_successes=n_successes,
-            horizon_slots=horizon,
-            seed=seed,
+            **counts,
             sim_error=(
-                f"fewer than two decoded updates (recharges={n_recharges}, "
-                f"successes={n_successes}); nothing to validate"
+                f"fewer than two decoded updates (recharges={sums.n_fills}, "
+                f"successes={sums.n_successes}); nothing to validate"
             ),
         )
-    window = measurement_window(log, config.warmup)
-    t_win = window.t.astype(float)
-    x_win = window.x.astype(float)
-
+    stats = sums.stats(warmup)
+    measured = (
+        ("e_t", ref.e_t, stats.t_samples_mean, 0.02),
+        ("e_t2", ref.e_t2, stats.t_samples_m2, 0.02),
+        ("e_x", ref.e_x, stats.x_samples_mean, 0.02),
+        ("e_x2", ref.e_x2, stats.x_samples_m2, 0.02),
+        ("delta", ref.delta, stats.delta_hat, 0.01),
+    )
+    halves = (*sums.moment_halves(warmup), stats.delta_ci_half)
     rows = []
-
-    def moment_row(name: str, target: float, samples: np.ndarray, tol: float) -> None:
-        if samples.size >= 2:
-            mean, half = batch_ci(samples, n_batches=min(20, samples.size))
-        else:
-            mean, half = float(samples.mean()), math.nan
-        rel = abs(mean - target) / target
+    for (name, target, empirical, tol), half in zip(measured, halves):
+        rel = abs(empirical - target) / target
         rows.append(
             ValidationRow(
                 statistic=name,
                 analytic=target,
-                empirical=mean,
+                empirical=empirical,
                 ci_half=half,
                 rel_err=rel,
                 tolerance=tol,
                 passed=rel < tol,
             )
         )
-
-    moment_row("e_t", ref.e_t, t_win, 0.02)
-    moment_row("e_t2", ref.e_t2, t_win * t_win, 0.02)
-    moment_row("e_x", ref.e_x, x_win, 0.02)
-    moment_row("e_x2", ref.e_x2, x_win * x_win, 0.02)
-
-    delta_rel = abs(window.delta_hat - ref.delta) / ref.delta
-    rows.append(
-        ValidationRow(
-            statistic="delta",
-            analytic=ref.delta,
-            empirical=window.delta_hat,
-            ci_half=window.delta_ci_half,
-            rel_err=delta_rel,
-            tolerance=0.01,
-            passed=delta_rel < 0.01,
-        )
-    )
-
-    return ValidationReport(
-        rows=tuple(rows),
-        all_passed=all(r.passed for r in rows),
-        n_recharges=n_recharges,
-        n_attempts=n_attempts,
-        n_successes=n_successes,
-        horizon_slots=horizon,
-        seed=seed,
-    )
+    return ValidationReport(rows=tuple(rows), all_passed=all(r.passed for r in rows), **counts)
 
 
 def format_validation_report(report: ValidationReport) -> str:

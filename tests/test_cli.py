@@ -104,8 +104,20 @@ def test_simulate_json_fields(capsys):
     assert payload["beta"] == 1.0
     assert payload["pi"] == 1.0
     assert payload["n_successes"] <= payload["n_recharges"]
+    # every attempt is decoded; a last fill on the horizon has no attempt
+    assert payload["n_attempts"] == payload["n_successes"]
+    assert payload["n_recharges"] - payload["n_attempts"] in (0, 1)
     assert payload["delta_hat"] == pytest.approx(1.75, rel=0.05)
     assert payload["warmup"] == "first_success_to_last_success"
+
+
+def test_simulate_csv_counts_attempts(capsys):
+    code = run_cli(["simulate", *_TOY, "--horizon", "50000", "--seed", "11", "--format", "csv"])
+    assert code == 0
+    header, values = capsys.readouterr().out.strip().split("\n")
+    row = dict(zip(header.split(","), values.split(",")))
+    assert header.split(",").index("n_attempts") == header.split(",").index("n_recharges") + 1
+    assert int(row["n_attempts"]) == int(row["n_successes"])
 
 
 def test_simulate_full_horizon_flag(capsys):

@@ -143,6 +143,32 @@ def test_minimum_age_sweep_orderings(ref_point):
     assert rows[1].delta_star == pytest.approx(271.3899473, rel=5e-3)
 
 
+def test_minimum_age_sweep_equals_lane_by_lane_closed_forms(ref_point):
+    # the 25 powers x 2 spectral efficiencies of the benchmark's design session
+    powers = tuple(float(p) for p in np.geomspace(0.1, 100.0, 25))
+    base = ref_point(capacitor_j=1.0)
+    spec = SweepSpec(base=base, swept_field="power_w", values=powers)
+    rows = sweep_minaoi_vs_P(spec, r_values=[0.05, 0.1])
+    assert len(rows) == 50
+    for row in rows:
+        lane = replace(base, power_w=row.swept_value, rate_bpcu=row.rate_bpcu)
+        d = derive(replace(lane, capacitor_j=row.b_star))
+        assert (row.beta, row.pi) == (d.beta, d.pi)
+        assert type(row.beta) is float and type(row.pi) is float
+
+
+def test_minimum_age_sweep_underflow_raises_derive_error(ref_point):
+    # at r = 30 pi underflows over the whole bracket, so the search ends on
+    # its lower edge with an infinite age
+    base = ref_point(capacitor_j=1.0)
+    with pytest.raises(ValueError) as expected:
+        derive(replace(base, rate_bpcu=30.0, capacitor_j=1e-9))
+    spec = SweepSpec(base=base, swept_field="power_w", values=(1.0, 3.0))
+    with pytest.raises(ValueError) as raised:
+        sweep_minaoi_vs_P(spec, r_values=[0.05, 30.0])
+    assert str(raised.value) == str(expected.value)
+
+
 def test_minimum_age_sweep_validates_inputs(ref_point):
     spec = SweepSpec(base=ref_point(), swept_field="power_w", values=(1.0, 3.0))
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from wpaoi import (
     trace_rows,
     write_trace,
 )
-from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX
+from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX, _Z975, cycle_sums
 
 # Capacitor size that puts the reference point exactly at the fill-search
 # threshold; the engine takes the dense search there and the sparse one above.
@@ -81,6 +83,17 @@ def test_extract_cycles_random_log_sum_identity():
     starts = np.concatenate(([0], edges[:-1]))
     for k in range(x.size):
         assert int(x[k]) == int(np.sum(t[starts[k] : edges[k]]))
+
+
+@pytest.mark.parametrize(
+    "fills, success",
+    [([5, 3], [True, True]), ([3], [True, True]), ([3, 20], [True, True]), ([2, 2], [True, True])],
+    ids=["decreasing", "more_attempts", "past_horizon", "repeated"],
+)
+def test_summarize_rejects_malformed_logs(fills, success):
+    log = EventLog(np.array(fills, dtype=np.int64), np.array(success), horizon_slots=10)
+    with pytest.raises(ValueError):
+        summarize(log, Warmup.FULL_HORIZON)
 
 
 def test_extract_cycles_rejects_malformed_logs():
@@ -284,6 +297,106 @@ def test_renewal_engine_matches_slot_engine_in_distribution(ref_point):
 def test_simulate_reduces_renewal_events(ref_point):
     config = SimConfig(ref_point(), 200_000, seed=31)
     assert simulate(config) == summarize(sample_events(config), config.warmup)
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
+    # ~81k fills, so the reduction crosses a 2**16-fill chunk edge
+    log = sample_events(SimConfig(ref_point(power_w=300.0), 200_000, seed=8))
+    assert log.fill_slots.size > 1 << 16
+    t, x, m = extract_cycles(log)
+    hits = np.flatnonzero(log.success)
+    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
+        t, x, m = t[hits[0] + 1 : hits[-1] + 1], x[1:], m[1:]
+    stats = summarize(log, warmup)
+    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
+        assert stats.delta_hat == empirical_aoi(x)
+    tf, xf = t.astype(float), x.astype(float)
+    assert (stats.t_samples_mean, stats.t_samples_m2) == (np.mean(tf), np.mean(tf * tf))
+    assert (stats.x_samples_mean, stats.x_samples_m2) == (np.mean(xf), np.mean(xf * xf))
+    assert stats.m_mean == np.mean(m)
+    assert (stats.n_recharges, stats.n_attempts) == (log.fill_slots.size, log.success.size)
+    assert stats.n_successes == hits.size
+    # the regenerative age half-width and the i.i.d. moment half-widths
+    q = xf * (xf + 1.0) / 2.0
+    residuals = q - q.sum() / xf.sum() * xf
+    age_half = _Z975 * np.std(residuals, ddof=1) / math.sqrt(x.size) / np.mean(xf)
+    assert stats.delta_ci_half == pytest.approx(age_half, rel=1e-9)
+    halves = [_Z975 * np.std(v, ddof=1) / math.sqrt(v.size) for v in (tf, tf * tf, xf, xf * xf)]
+    assert cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+
+
+# beta 0.485 and pi 0.077: most 7-fill chunks hold no decoded update
+def _sparse_decodes(ref_point):
+    return ref_point(power_w=300.0, capacitor_j=1e-4)
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_simulate_equals_summary_of_its_log_at_chunk_edges(ref_point, warmup):
+    params = _sparse_decodes(ref_point)
+    # A shorter horizon keeps a prefix of the same fills, so ending it on a
+    # fill leaves that last fill without a transmission attempt.
+    horizon = int(sample_events(SimConfig(params, 20_000, seed=4)).fill_slots[-5])
+    config = SimConfig(params, horizon, seed=4, warmup=warmup)
+    log = sample_events(config)
+    assert log.fill_slots[-1] == horizon
+    assert log.success.size == log.fill_slots.size - 1
+    chunks = [log.success[i : i + 7] for i in range(0, log.success.size, 7)]
+    assert sum(not c.any() for c in chunks) > 100
+    expected = summarize(log, warmup)
+    for block in (7, 1 << 23):
+        assert simulate(config, block=block) == expected
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_simulate_does_not_depend_on_chunking(ref_point, warmup):
+    # ~1.3k fills. Every power sum here is an integer below 2**53, so even
+    # the float sums behind the half-width are exact in any order.
+    config = SimConfig(_sparse_decodes(ref_point), 2_000, seed=12, warmup=warmup)
+    expected = simulate(config)
+    assert expected.n_recharges > 1_000
+    for block in (1, 7, 997):
+        assert simulate(config, block=block) == expected
+
+
+def test_simulate_memory_stays_bounded():
+    # beta 48.5: ~2e6 fills, whose event log alone would take 18 MB
+    params, _ = build_params(
+        power_w=3.0, capacitor_j=1e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
+    )
+    tracemalloc.start()
+    try:
+        stats = simulate(SimConfig(params, 100_000_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_recharges > 1_900_000
+    assert peak < 16 * 2**20
+
+
+def test_age_interval_covers_closed_form(ref_point):
+    """The regenerative 95% interval of the age covers the closed form in
+    0.95 +- 0.025 of 1,000 seeded runs, about 3.6 binomial standard errors.
+
+    Each run has ~17k cycles. The interval rests on the central limit
+    theorem and under-covers in short runs: about 0.90 at ~290 cycles per
+    run (beta 145.6, 1e5 slots).
+    """
+    params = ref_point(power_w=300.0)
+    d = derive(params)
+    target = average_aoi(d.beta, d.pi)
+    covered = 0
+    for seed in range(1_000):
+        stats = simulate(SimConfig(params, 100_000, seed))
+        covered += abs(stats.delta_hat - target) <= stats.delta_ci_half
+    assert 0.925 <= covered / 1_000 <= 0.975
+
+
+def test_normal_quantile_literal():
+    # The stdlib inverse CDF lands 2 ulps below the literal; the exact
+    # quantile, 1.95996398454005423552..., lies within 1 ulp of it.
+    assert abs(_Z975 - statistics.NormalDist().inv_cdf(0.975)) <= 2 * math.ulp(_Z975)
+    assert abs(_Z975 - 1.9599639845400542355) <= math.ulp(_Z975)
 
 
 @pytest.mark.parametrize(
