@@ -22,7 +22,7 @@ import numpy as np
 from .analytics import analytic_report, average_aoi
 from .model import SystemParams, beta_pi, derive
 from .optimizer import optimize_capacitors
-from .simulator import NoSuccessError, SimConfig, Warmup, cycle_sums, sample_events, simulate
+from .simulator import NoSuccessError, SimConfig, Warmup, _cycle_sums, sample_events, simulate
 
 __all__ = [
     "SweepSpec",
@@ -225,9 +225,9 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     The five compared statistics are the recharge-time and interarrival
     moments (first and second of each) plus the average age. Moments must
     agree within 2% relative, the age within 1%. The run is sampled with
-    :func:`~wpaoi.simulator.sample_events` and reduced once by
-    :func:`~wpaoi.simulator.cycle_sums` over the window between the first
-    and the last decoded update. The recharge times are i.i.d., and so are
+    :func:`~wpaoi.simulator.sample_events` and reduced once, by the reduction
+    behind :func:`~wpaoi.simulator.summarize`, over the window between the
+    first and the last decoded update. The recharge times are i.i.d., and so are
     the interarrival times, so the moment rows carry i.i.d. 95% half-widths;
     the age row carries the regenerative one of
     :class:`~wpaoi.simulator.SimStats`. A run with too few decoded updates
@@ -237,7 +237,7 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     d = derive(params)
     ref = analytic_report(d.beta, d.pi)
     warmup = Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
-    sums = cycle_sums(sample_events(SimConfig(params, horizon, seed, warmup=warmup)))
+    sums = _cycle_sums(sample_events(SimConfig(params, horizon, seed, warmup=warmup)))
     counts = {
         "n_recharges": sums.n_fills,
         "n_attempts": sums.n_attempts,

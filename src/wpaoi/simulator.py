@@ -33,9 +33,10 @@ renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X], so a
 run needs running sums over its cycles, not its event log: the reduction
 takes the fills a chunk at a time, carries the open cycle and the
 measurement window across chunk edges, and keeps the cycle count and the
-power sums of the recharge and interarrival times. :func:`simulate` feeds it
+power sums of the recharge and interarrival times, taken about the first
+one of each so that they do not cancel. :func:`simulate` feeds it
 straight from the sampler, so its memory stays bounded however long the
-horizon; :func:`summarize` and :func:`cycle_sums` feed it a given log.
+horizon; :func:`summarize` feeds it a given log.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ __all__ = [
     "NoSuccessError",
     "sample_events",
     "sample_slot_events",
-    "CycleSums",
-    "cycle_sums",
     "summarize",
     "simulate",
     "extract_cycles",
@@ -76,9 +75,6 @@ _MAX_HORIZON = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 # Largest X whose X*(X+1) fits in int64.
 _X_FITS = 3_037_000_499
-# Largest S with S*S <= 2**53: squares of non-negative integers that add up
-# to at most S, and every partial sum of them, are exact in float64.
-_EXACT_SPAN = 94_906_265
 # Two-sided 95% quantile of the standard normal law.
 _Z975 = 1.959963984540054
 
@@ -410,20 +406,21 @@ def _exact_sum(v: np.ndarray, top: int) -> int:
     return sum(int(v[i : i + step].sum()) for i in range(0, v.size, step))
 
 
-def _area(x: np.ndarray) -> int:
-    """Exact sum of X*(X+1)/2 over int64 X >= 1, the slot ages of whole cycles.
-
-    Every X*(X+1) is even, so this is half the sum of X*(X+1). Entries
-    above ``_X_FITS``, whose X*(X+1) would wrap in int64, are summed as
-    Python ints.
-    """
-    top = int(x.max()) if x.size else 0
+def _square_sum(y: np.ndarray) -> int:
+    """Exact sum of y*y over int64 y, as a Python int. Entries above
+    ``_X_FITS`` in size, whose squares could wrap in int64, are squared as
+    Python ints."""
+    a = np.abs(y)
+    top = int(a.max()) if a.size else 0
     if top > _X_FITS:
-        big = x > _X_FITS
-        return _area(x[~big]) + sum(v * (v + 1) // 2 for v in x[big].tolist())
-    q = x + 1
-    q *= x
-    return _exact_sum(q, top * (top + 1)) // 2
+        big = a > _X_FITS
+        return _square_sum(a[~big]) + sum(v * v for v in a[big].tolist())
+    return _exact_sum(a * a, top * top)
+
+
+def _area(x: np.ndarray) -> int:
+    """Exact sum of X*(X+1)/2 over int64 X >= 1, the slot ages of whole cycles."""
+    return (_square_sum(x) + _exact_sum(x, int(x.max()))) // 2
 
 
 def empirical_aoi(x_intervals) -> float:
@@ -466,60 +463,72 @@ def batch_ci(samples, n_batches: int = 20) -> tuple[float, float]:
 _NO_SUMS = (0, 0.0, 0.0)
 
 
-def _power_sums(v: np.ndarray, span: int) -> tuple[int, float, float]:
-    """Sums of v^2, v^3 and v^4 over non-negative int64 v that add up to at
-    most ``span``. The sum of squares is exact: summed in float64 when
-    ``span`` is at most ``_EXACT_SPAN``, through :func:`_area` otherwise."""
+def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
+    """Sums of y^2 (exact), y^3 and y^4 over y = v - shift, for int64 v."""
     if not v.size:
         return _NO_SUMS
-    vf = v.astype(float)
-    # Every partial sum of squares is an integer of at most span^2, so any
-    # summation order is exact there.
-    s2 = int(np.dot(vf, vf)) if span <= _EXACT_SPAN else 2 * _area(v) - int(v.sum())
-    v2 = vf * vf
-    np.multiply(v2, vf, out=vf)
-    s3 = float(vf.sum())
-    np.multiply(v2, v2, out=vf)
-    return s2, s3, float(vf.sum())
+    y = v - shift
+    s2 = _square_sum(y)
+    yf = y.astype(float)
+    y2 = yf * yf
+    np.multiply(y2, yf, out=yf)
+    s3 = float(yf.sum())
+    np.multiply(y2, y2, out=yf)
+    return s2, s3, float(yf.sum())
 
 
 def _add(*sums: tuple) -> tuple:
     return tuple(map(sum, zip(*sums)))
 
 
-def _diff(v: np.ndarray, before: int) -> np.ndarray:
-    """``np.diff(v, prepend=before)`` without its concatenated copy."""
-    d = np.empty_like(v)
-    d[0] = v[0] - before
-    np.subtract(v[1:], v[:-1], out=d[1:])
-    return d
+# The reduction describes n samples v by their sum s1, a shift k and the
+# sums y2 (exact), y3 and y4 of the powers of y = v - k. With k one of the
+# samples, y is as small as the spread of v, so the variances below lose
+# no digits when v barely varies (large beta, pi near one).
+
+
+def _square_total(n: int, s1: int, k: int, y2: int, *_) -> int:
+    """Exact sum of v^2: y2 + 2k*sum(y) + n*k^2."""
+    return y2 + k * (2 * s1 - n * k)
 
 
 def _mean_half(n: int, s1, s2) -> float:
     """95% half-width of the mean of n i.i.d. samples with sum s1 and sum of
-    squares s2 (exact when both are integers); nan below two samples."""
+    squares s2 (exact when both are integers); nan below two samples. The
+    samples may be shifted by a constant."""
     if n < 2:
         return math.nan
     var = (n * s2 - s1 * s1) / (n * (n - 1))
     return _Z975 * math.sqrt(max(var, 0.0) / n)
 
 
-def _ratio_half(n: int, s1: int, s2: int, s3: float, s4: float) -> float:
-    """Regenerative 95% half-width of the age sum(Q)/sum(X), Q = X(X+1)/2,
-    from the count and the sums of X, X^2, X^3 and X^4 over its cycles.
+def _moment_halves(n: int, s1: int, k: int, y2: int, y3: float, y4: float) -> tuple[float, float]:
+    """95% half-widths of the means of v and of v^2 over i.i.d. samples."""
+    y1 = s1 - n * k
+    # v^2 - k^2 = y^2 + 2k*y
+    return _mean_half(n, y1, y2), _mean_half(n, y2 + 2 * k * y1, y4 + 4 * k * y3 + 4 * k * k * y2)
 
-    With r = sum(Q)/sum(X) the residuals Q - r*X = X^2/2 + (1/2 - r)*X sum
-    to zero, so their variance is their sum of squares over n - 1.
+
+def _ratio_half(n: int, s1: int, k: int, y2: int, y3: float, y4: float) -> float:
+    """Regenerative 95% half-width of the age r = sum(Q)/sum(X), Q = X(X+1)/2,
+    over n cycles X.
+
+    The residuals Q - r*X sum to zero and differ by a constant from
+    g = Q - Q(k) - r*(X - k) = y^2/2 + a*y, a = k + 1/2 - r, so their
+    variance is that of g. The numerator of a, n*k^2 - y2, is exact.
     """
     if n < 2:
         return math.nan
-    c = 0.5 - (s2 + s1) / (2 * s1)
-    squares = s4 / 4.0 + c * s3 + c * c * s2
-    return _Z975 * math.sqrt(max(squares, 0.0) / ((n - 1) * n)) * n / s1
+    y1 = s1 - n * k
+    a = (n * k * k - y2) / (2 * s1)
+    g1 = y2 / 2 + a * y1
+    g2 = y4 / 4 + a * y3 + a * a * y2
+    var = (g2 - g1 * g1 / n) / (n - 1)
+    return _Z975 * math.sqrt(max(var, 0.0) / n) * n / s1
 
 
 @dataclass(frozen=True)
-class CycleSums:
+class _CycleSums:
     """Everything the streaming reduction keeps of one run.
 
     The counters cover the whole run. The decoded update of fill index a
@@ -528,15 +537,19 @@ class CycleSums:
     split at those two fills: ``t_head`` covers the fills up to and including
     the first decoded update, ``t_window`` the fills after it up to and
     including the last, ``t_tail`` the rest. ``x_window`` covers the
-    interarrival times between decoded updates. Each holds the sums of v^2
-    (an exact integer), v^3 and v^4; counts, plain sums and attempt totals
-    follow exactly from the fill slots and indices.
+    interarrival times between decoded updates. Each holds the sums of y^2
+    (an exact integer), y^3 and y^4 of :func:`_power_sums`, where y is T
+    less the first recharge time (``first_fill``) or X less the first
+    interarrival time, counted from the origin (``first_update_fill``).
+    Counts, plain sums and attempt totals follow exactly from the fill
+    slots and indices.
     """
 
     horizon_slots: int
     n_fills: int
     n_attempts: int
     n_successes: int
+    first_fill: int
     last_fill: int
     first_update_fill: int
     first_update_index: int
@@ -548,32 +561,33 @@ class CycleSums:
     x_window: tuple
 
     def _measured(self, warmup: Warmup):
-        """(n, sum, then the sums of :func:`_power_sums`) of the recharge and
-        of the interarrival times in the measurement window of ``warmup``,
-        the attempts its updates took, its age and its slots."""
+        """(n, sum, shift, then the sums of :func:`_power_sums`) of the
+        recharge and of the interarrival times in the measurement window of
+        ``warmup``, the attempts its updates took, its age and its slots."""
         counts = (self.n_fills, self.n_attempts, self.n_successes, self.horizon_slots)
         if self.n_successes == 0:
             raise NoSuccessError("no decoded update in horizon", *counts)
         u0, a0 = self.first_update_fill, self.first_update_index
         u1, a1 = self.last_update_fill, self.last_update_index
-        area = (self.x_window[0] + u1 - u0) // 2
+        x = (self.n_successes - 1, u1 - u0, u0, *self.x_window)
+        area = (_square_total(*x) + u1 - u0) // 2
         if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
             if self.n_successes < 2:
                 raise NoSuccessError(
                     "fewer than two decoded updates, measurement window is empty", *counts
                 )
-            t = (a1 - a0, u1 - u0, *self.t_window)
-            x = (self.n_successes - 1, u1 - u0, *self.x_window)
+            t = (a1 - a0, u1 - u0, self.first_fill, *self.t_window)
             return t, x, a1 - a0, float(area) / float(u1 - u0), u1 - u0
         # Every slot: the charge-up leads in with ages 2, ..., u0 + 1 up to
         # the first update's slot and the unfinished tail climbs to the
-        # horizon, both in closed form; the first cycle runs from the origin.
+        # horizon, both in closed form. The first cycle runs from the origin;
+        # it is u0, the shift of x, so it adds to no power sum.
         horizon = self.horizon_slots
         head = (u0 + 1) * (u0 + 2) // 2 - 1
         tail = (horizon - u1) * (horizon - u1 + 1) // 2
-        t = (self.n_fills, self.last_fill, *_add(self.t_head, self.t_window, self.t_tail))
-        x0 = (u0 * u0, float(u0) ** 3, float(u0) ** 4)
-        x = (self.n_successes, u1, *_add(x0, self.x_window))
+        t_sums = _add(self.t_head, self.t_window, self.t_tail)
+        t = (self.n_fills, self.last_fill, self.first_fill, *t_sums)
+        x = (self.n_successes, u1, *x[2:])
         return t, x, a1 + 1, float(head + area + tail) / float(horizon), horizon
 
     def stats(self, warmup: Warmup) -> SimStats:
@@ -583,9 +597,9 @@ class CycleSums:
             delta_hat=delta_hat,
             delta_ci_half=_ratio_half(*x),
             t_samples_mean=float(t[1]) / t[0],
-            t_samples_m2=float(t[2]) / t[0],
+            t_samples_m2=float(_square_total(*t)) / t[0],
             x_samples_mean=float(x[1]) / x[0],
-            x_samples_m2=float(x[2]) / x[0],
+            x_samples_m2=float(_square_total(*x)) / x[0],
             m_mean=float(m) / x[0],
             n_recharges=self.n_fills,
             n_attempts=self.n_attempts,
@@ -598,17 +612,12 @@ class CycleSums:
         ``warmup``. The recharge times are i.i.d., and so are the
         interarrival times, so each is an i.i.d. interval."""
         t, x, *_ = self._measured(warmup)
-        return (
-            _mean_half(t[0], t[1], t[2]),
-            _mean_half(t[0], t[2], t[4]),
-            _mean_half(x[0], x[1], x[2]),
-            _mean_half(x[0], x[2], x[4]),
-        )
+        return (*_moment_halves(*t), *_moment_halves(*x))
 
 
-def _reduce(chunks, horizon: int) -> CycleSums:
+def _reduce(chunks, horizon: int) -> _CycleSums:
     """Reduce the (fill slots, decode outcomes) chunks of one run, in fill
-    order, to its :class:`CycleSums`. A chunk's decode outcomes may stop
+    order, to its :class:`_CycleSums`. A chunk's decode outcomes may stop
     short of its fills only at the end of the run.
 
     The sums of the fills after the latest decoded update stay in ``tail``
@@ -616,44 +625,46 @@ def _reduce(chunks, horizon: int) -> CycleSums:
     into the head), so the window never needs to look back.
     """
     n_fills = n_attempts = n_successes = 0
-    last_fill = 0
+    first_fill = last_fill = 0
     first = last = (0, -1)
     head = window = tail = x_window = _NO_SUMS
     for fills, success in chunks:
-        t = _diff(fills, last_fill)
+        t = np.diff(fills, prepend=np.int64(last_fill))
         if t.min() < 1:
             raise ValueError("fill slots must be strictly increasing")
-        span = int(fills[-1]) - last_fill
+        if not n_fills:
+            first_fill = int(fills[0])
         hits = np.flatnonzero(success)
         if hits.size:
             updates = fills[hits]
+            # At the first update x opens with the cycle from the origin, u0.
+            x = np.diff(updates, prepend=np.int64(last[0]))
             j = 0
             if not n_successes:
                 j = int(hits[0]) + 1
                 first = last = (int(updates[0]), n_fills + j - 1)
-                head = _add(tail, _power_sums(t[:j], span))
+                head = _add(tail, _power_sums(t[:j], first_fill))
                 tail = _NO_SUMS
             i = int(hits[-1])
-            window = _add(window, tail, _power_sums(t[j : i + 1], span))
-            tail = _power_sums(t[i + 1 :], span)
-            # At the first update x starts with a 0, which adds nothing.
-            x = _diff(updates, last[0])
-            x_window = _add(x_window, _power_sums(x, int(updates[-1]) - last[0]))
+            window = _add(window, tail, _power_sums(t[j : i + 1], first_fill))
+            tail = _power_sums(t[i + 1 :], first_fill)
+            # Shifted by u0, that first cycle adds nothing.
+            x_window = _add(x_window, _power_sums(x, first[0]))
             last = (int(updates[-1]), n_fills + i)
             n_successes += hits.size
         else:
-            tail = _add(tail, _power_sums(t, span))
+            tail = _add(tail, _power_sums(t, first_fill))
         n_fills += fills.size
         n_attempts += success.size
         last_fill = int(fills[-1])
-    return CycleSums(
-        horizon, n_fills, n_attempts, n_successes, last_fill,
+    return _CycleSums(
+        horizon, n_fills, n_attempts, n_successes, first_fill, last_fill,
         *first, *last, head, window, tail, x_window,
     )
 
 
-def cycle_sums(log: EventLog) -> CycleSums:
-    """Reduce a given event log, fed in chunks, to its :class:`CycleSums`.
+def _cycle_sums(log: EventLog) -> _CycleSums:
+    """Reduce a given event log, fed in chunks, to its :class:`_CycleSums`.
 
     Raises
     ------
@@ -688,7 +699,7 @@ def summarize(log: EventLog, warmup: Warmup) -> SimStats:
     ValueError
         If the log is structurally inconsistent.
     """
-    return cycle_sums(log).stats(warmup)
+    return _cycle_sums(log).stats(warmup)
 
 
 def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:

@@ -1,6 +1,7 @@
 import math
 import statistics
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from wpaoi import (
     trace_rows,
     write_trace,
 )
-from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX, _Z975, cycle_sums
+from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX, _Z975, _cycle_sums
 
 # Capacitor size that puts the reference point exactly at the fill-search
 # threshold; the engine takes the dense search there and the sparse one above.
@@ -299,15 +300,22 @@ def test_simulate_reduces_renewal_events(ref_point):
     assert simulate(config) == summarize(sample_events(config), config.warmup)
 
 
+def _measured_cycles(log, warmup):
+    """The recharge, interarrival and attempt arrays in the window of warmup."""
+    t, x, m = extract_cycles(log)
+    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
+        hits = np.flatnonzero(log.success)
+        t, x, m = t[hits[0] + 1 : hits[-1] + 1], x[1:], m[1:]
+    return t, x, m
+
+
 @pytest.mark.parametrize("warmup", list(Warmup))
 def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     # ~81k fills, so the reduction crosses a 2**16-fill chunk edge
     log = sample_events(SimConfig(ref_point(power_w=300.0), 200_000, seed=8))
     assert log.fill_slots.size > 1 << 16
-    t, x, m = extract_cycles(log)
+    t, x, m = _measured_cycles(log, warmup)
     hits = np.flatnonzero(log.success)
-    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
-        t, x, m = t[hits[0] + 1 : hits[-1] + 1], x[1:], m[1:]
     stats = summarize(log, warmup)
     if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
         assert stats.delta_hat == empirical_aoi(x)
@@ -323,7 +331,30 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     age_half = _Z975 * np.std(residuals, ddof=1) / math.sqrt(x.size) / np.mean(xf)
     assert stats.delta_ci_half == pytest.approx(age_half, rel=1e-9)
     halves = [_Z975 * np.std(v, ddof=1) / math.sqrt(v.size) for v in (tf, tf * tf, xf, xf * xf)]
-    assert cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+    assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_half_widths_stay_exact_when_cycles_barely_vary(ref_point, warmup):
+    # beta 4.85e15 and pi 0.9997: ~200 cycles whose T and X have a
+    # coefficient of variation near 1.4e-8, so raw power sums would cancel
+    # every digit of the variances. Exact rational arithmetic is the
+    # reference.
+    log = sample_events(SimConfig(ref_point(power_w=3e-10, capacitor_j=1.0), 10**18, seed=3))
+    t, x, _ = (v.tolist() for v in _measured_cycles(log, warmup))
+    assert len(x) > 150
+
+    def mean_half(v):
+        n, s1 = len(v), sum(v)
+        var = Fraction(n * sum(a * a for a in v) - s1 * s1, n * (n - 1))
+        return _Z975 * math.sqrt(var / n)
+
+    r = Fraction(sum(a * (a + 1) for a in x), 2 * sum(x))
+    residuals = sum((Fraction(a * (a + 1), 2) - r * a) ** 2 for a in x) / (len(x) - 1)
+    age_half = _Z975 * math.sqrt(residuals / len(x)) * len(x) / sum(x)
+    halves = [mean_half(v) for v in (t, [a * a for a in t], x, [a * a for a in x])]
+    assert summarize(log, warmup).delta_ci_half == pytest.approx(age_half, rel=1e-9)
+    assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
 
 
 # beta 0.485 and pi 0.077: most 7-fill chunks hold no decoded update
