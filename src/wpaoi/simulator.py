@@ -13,7 +13,10 @@ Three execution paths sample this system:
 * :func:`sample_events`, the default engine behind :func:`simulate`, draws
   one recharge time per update. The harvest is a Poisson process in energy
   and the overshoot past B is discarded, so every recharge time is exactly
-  ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots.
+  ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots:
+  a long enough run at beta of at least 1 draws them from a Walker alias
+  table of the recharge law, one uniform per fill, and any other run with
+  numpy's Poisson sampler.
 * :func:`sample_slot_events` runs the slot dynamics themselves, a block at a
   time, and finds fills by binary search in cumulative harvest sums. It is
   the reference for the renewal claim above and backs the ``--trace`` path.
@@ -26,7 +29,10 @@ draw from the harvest stream per slot, one draw from the decode stream per
 transmit slot), so they agree bit for bit for a given seed. The renewal
 engine reads the harvest stream differently, so it describes another
 realization of the same process; the tests tie it to the slot engine by the
-distributions of recharge and interarrival times.
+distributions of recharge and interarrival times. Both event engines
+decode an attempt when its draw from the decode stream reaches a cut found
+once per run; that gives, bit for bit, the outcomes of computing the
+channel gain of every attempt, as :func:`trace_rows` does.
 
 The statistics come from one streaming reduction. The average age is a
 renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X], so a
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import t as student_t
 
+from .analytics import recharge_pmf
 from .model import SystemParams, beta_pi
 
 __all__ = [
@@ -77,6 +84,8 @@ _INT64_MAX = (1 << 63) - 1
 _X_FITS = 3_037_000_499
 # Two-sided 95% quantile of the standard normal law.
 _Z975 = 1.959963984540054
+# random() draws the multiples of 1/_GRID below one.
+_GRID = 1 << 53
 
 # Largest mean numpy's Poisson sampler accepts (its own limit, int64 max less
 # ten standard deviations); above it the first fill lies past ~9.2e18 slots.
@@ -88,6 +97,17 @@ _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max
 # 2 vCPUs: they break even near beta 21 on 2^23-slot runs and near beta 26 on
 # 1e6-slot runs, and either choice costs at most ~10% between 18 and 30.
 _DENSE_BETA = 24.0
+
+# The renewal engine draws recharge times from an alias table when beta is at
+# least _TABLE_BETA and the run expects at least _TABLE_FILLS fills per table
+# entry, and with numpy's Poisson sampler otherwise. Timed both ways with
+# numpy 2.4.6 on 2 vCPUs: a table draw costs ~13.5 ns at any beta; a Poisson
+# draw ~7 ns at beta 0.001, ~13.5 ns at 0.3, ~23 ns at 1 and 27-53 ns from
+# 1.5 up; building the table ~50 us at beta 1.5 and ~180 us at 145.6. Whole
+# runs break even near 64 fills per entry from beta 1.5 to 5, between 16 and
+# 32 from 24 to 4000, and near 100 at beta 1.
+_TABLE_BETA = 1.0
+_TABLE_FILLS = 64
 
 
 class Warmup(enum.Enum):
@@ -193,21 +213,92 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]
     return np.random.default_rng(h_ss), np.random.default_rng(g_ss)
 
 
-def _decodes(p: SystemParams, g_rng, fill_slots: np.ndarray, horizon: int) -> np.ndarray:
-    """Decode outcome of every attempt, one draw each, in fill order.
+def _decode_cut(p: SystemParams) -> float:
+    """The smallest draw of ``random()`` whose attempt decodes, or 1.0 if none does.
+
+    An attempt with draw u decodes when its channel gain -log1p(-u)/lambda
+    reaches the threshold (2^r - 1)*sigma^2/B. The gain does not fall as u
+    grows, so the draws that decode are those from one point of the 2^-53
+    grid on. That point is found once per run, testing grid points with the
+    very float operations that give the gain: -expm1(-lambda*threshold)
+    lands within a few points of it, and bisection takes over when it does
+    not. An attempt then decodes exactly when its draw reaches the cut.
+    """
+    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / p.capacitor_j
+
+    def decodes(k):
+        # gains = -log1p(-u) / lambda in one buffer; the sign moves into the
+        # divisor exactly
+        gains = np.asarray(k, dtype=float) / _GRID
+        np.negative(gains, out=gains)
+        np.log1p(gains, out=gains)
+        gains /= -p.channel_rate
+        return gains >= threshold
+
+    guess = -math.expm1(-p.channel_rate * threshold)
+    k = int(guess * _GRID) if guess > 0.0 else 0
+    near = np.arange(k - 2, k + 3).clip(0, _GRID - 1)
+    ok = decodes(near)
+    # No draw below lo / _GRID decodes, and every draw from hi / _GRID does.
+    lo = -1 if ok.all() else int(near[~ok].max())
+    hi = int(near[ok].min()) if ok.any() else _GRID
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if decodes([mid])[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi / _GRID
+
+
+def _decodes(cut: float, g_rng, fill_slots: np.ndarray, horizon: int) -> np.ndarray:
+    """Decode outcome of every attempt, one draw each, in fill order, given
+    the run's :func:`_decode_cut`.
 
     A fill is followed by an attempt when its transmit slot, the next one,
     lies within the horizon.
     """
     n_attempts = int(np.searchsorted(fill_slots, horizon - 1, side="right"))
-    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / p.capacitor_j
-    # gains = -log1p(-u) / lambda in one buffer; the sign moves into the
-    # divisor exactly
-    gains = g_rng.random(n_attempts)
-    np.negative(gains, out=gains)
-    np.log1p(gains, out=gains)
-    gains /= -p.channel_rate
-    return gains >= threshold
+    return g_rng.random(n_attempts) >= cut
+
+
+def _table_size(beta: float) -> int:
+    """Entries K of the alias table of ``Poisson(beta)``: beta + 12*sqrt(beta)
+    + 30, which leaves out a tail below ~1e-30."""
+    return int(beta + 12.0 * math.sqrt(beta)) + 30
+
+
+def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (Walker 1977, built by Vose's 1991 method) of
+    ``Poisson(beta)`` over 0..K-1, K = :func:`_table_size`, as (q, alias):
+    entry j gives j with probability q[j] and alias[j] otherwise."""
+    size = _table_size(beta)
+    pmf = recharge_pmf(beta, np.arange(1, size + 1))
+    q = (pmf * (size / pmf.sum())).tolist()
+    alias = list(range(size))
+    small = [j for j, v in enumerate(q) if v < 1.0]
+    large = [j for j, v in enumerate(q) if v >= 1.0]
+    while small and large:
+        j, big = small.pop(), large[-1]
+        alias[j] = big
+        q[big] = (q[big] + q[j]) - 1.0
+        if q[big] < 1.0:
+            small.append(large.pop())
+    # What rounding leaves in either list is an entry of probability one.
+    for j in small + large:
+        q[j] = 1.0
+    return np.array(q), np.array(alias, dtype=np.int64)
+
+
+def _alias_draws(h_rng, table: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """``n`` draws from an :func:`_alias_table`, one uniform each: its integer
+    part after scaling by K picks the entry and its fraction tosses the coin."""
+    q, alias = table
+    u = h_rng.random(n)
+    u *= q.size
+    j = u.astype(np.int64)
+    u -= j
+    return np.where(u < q[j], j, alias[j])
 
 
 def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
@@ -216,6 +307,12 @@ def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
     ``_CHUNK`` fills. No chunk is empty."""
     if beta > _POISSON_LAM_MAX:
         return
+    # The alias table pays for its build only over enough fills; the choice
+    # rests on beta and the horizon alone.
+    size = _table_size(beta)
+    table = None
+    if beta >= _TABLE_BETA and size <= _CHUNK and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
+        table = _alias_table(beta)
     pos = 0
     while True:
         left = horizon - pos
@@ -224,7 +321,7 @@ def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
         # need / 4; far larger chunks cost more than the run itself.
         need = left / (1.0 + beta)
         n = min(block, _CHUNK, int(need + 6.0 * math.sqrt(need)) + 16)
-        s = h_rng.poisson(beta, n)
+        s = h_rng.poisson(beta, n) if table is None else _alias_draws(h_rng, table, n)
         # A recharge longer than what is left ends the run. Capping each one
         # at left + 1 keeps the running sum below 2 * 2^62 up to its first
         # entry past the horizon; later entries may wrap and are not used.
@@ -248,8 +345,9 @@ def _event_chunks(config: SimConfig, block: int):
     horizon = config.horizon_slots
     beta, _ = beta_pi(p, p.capacitor_j)
     h_rng, g_rng = _spawn_streams(config.seed)
+    cut = _decode_cut(p)
     for fills in _renewal_fills(h_rng, beta, horizon, block):
-        yield fills, _decodes(p, g_rng, fills, horizon)
+        yield fills, _decodes(cut, g_rng, fills, horizon)
 
 
 def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
@@ -262,9 +360,20 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     beta = lambda*B/(eta*P), independently from fill to fill, and the fill
     slots are the running sum of the T draws up to the horizon. The draws
     come in chunks of at most ``block`` (and ``_CHUNK``) fills, each sized to
-    what the rest of the horizon needs; numpy's Poisson sampler gives the
-    same sequence however it is split, so ``block`` only affects memory use,
-    not the results.
+    what the rest of the horizon needs.
+
+    When beta is at least 1 and the run expects at least 64 fills per entry
+    of the table, ``T - 1`` comes from a Walker alias table (Walker 1977;
+    Vose 1991) of the recharge PMF of :func:`~wpaoi.analytics.recharge_pmf`,
+    built once per run over 0..K-1 with K = beta + 12*sqrt(beta) + 30 and
+    renormalized: the tail it leaves out is below ~1e-30. Each fill takes
+    one uniform u: the integer part of K*u picks an entry and its fraction
+    tosses the entry's coin, at a resolution of 2^-(53 - log2 K). Any other
+    run, and any table above ``_CHUNK`` entries, uses numpy's Poisson
+    sampler, which gives the same sequence however it is split. Either way
+    the choice rests on beta and the horizon alone and every fill consumes
+    its own draws in order, so ``block`` only affects memory use, not the
+    results.
 
     Decode outcomes are drawn from a second substream, one draw per attempt,
     in fill order, as in :func:`sample_slot_events`. A beta above numpy's
@@ -346,7 +455,7 @@ def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
         pos += n
 
     fill_slots = np.asarray(fills, dtype=np.int64)
-    return EventLog(fill_slots, _decodes(p, g_rng, fill_slots, horizon), horizon)
+    return EventLog(fill_slots, _decodes(_decode_cut(p), g_rng, fill_slots, horizon), horizon)
 
 
 def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:

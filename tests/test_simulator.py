@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from conftest import REF_LAMBDA
 from scipy.stats import chi2
 
+import wpaoi.simulator as simulator
 from wpaoi import (
     EventLog,
     NoSuccessError,
@@ -20,6 +22,7 @@ from wpaoi import (
     derive,
     empirical_aoi,
     extract_cycles,
+    recharge_pmf,
     sample_events,
     sample_slot_events,
     simulate,
@@ -27,11 +30,39 @@ from wpaoi import (
     trace_rows,
     write_trace,
 )
-from wpaoi.simulator import _DENSE_BETA, _POISSON_LAM_MAX, _Z975, _cycle_sums
+from wpaoi.simulator import (
+    _CHUNK,
+    _DENSE_BETA,
+    _GRID,
+    _MAX_HORIZON,
+    _POISSON_LAM_MAX,
+    _TABLE_BETA,
+    _TABLE_FILLS,
+    _Z975,
+    _alias_draws,
+    _alias_table,
+    _cycle_sums,
+    _decode_cut,
+    _renewal_fills,
+    _table_size,
+)
 
 # Capacitor size that puts the reference point exactly at the fill-search
 # threshold; the engine takes the dense search there and the sparse one above.
 _THRESHOLD_CAP = _DENSE_BETA * (0.5 * 3.0 / REF_LAMBDA)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The beta of every alias table the renewal engine builds, in order."""
+    built = []
+
+    def spy(beta):
+        built.append(beta)
+        return _alias_table(beta)
+
+    monkeypatch.setattr(simulator, "_alias_table", spy)
+    return built
 
 
 def _trace_events(config):
@@ -234,6 +265,57 @@ def test_vectorized_path_matches_per_slot_path_dense(ref_point):
     assert np.array_equal(outcomes, log.success)
 
 
+# --- decode cut ---------------------------------------------------------------
+
+def _gain_decodes(p, u):
+    """Decode outcomes of the draws u with every channel gain computed:
+    -log1p(-u)/lambda against the threshold, in numpy float64."""
+    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / p.capacitor_j
+    return np.log1p(-u) / -p.channel_rate >= threshold
+
+
+# 30 operating points: B from 10 uJ to 0.1 J, r from 1e-3 to 10 bits per
+# channel use and P from 10 mW to 1 kW, so pi runs from 1 - 5e-5 down to 0.
+_CUT_POINTS = [
+    (10.0 ** (i % 6 - 2), capacitor_j, rate_bpcu)
+    for i, (capacitor_j, rate_bpcu) in enumerate(
+        itertools.product((1e-5, 1e-4, 1e-3, 1e-2, 1e-1), (1e-3, 1e-2, 0.05, 0.5, 3.0, 10.0))
+    )
+]
+
+
+def test_decode_cut_gives_the_outcomes_of_the_gains(ref_point):
+    rng = np.random.default_rng(2027)
+    inside = 0
+    for power_w, capacitor_j, rate_bpcu in _CUT_POINTS:
+        p = ref_point(power_w=power_w, capacitor_j=capacitor_j, rate_bpcu=rate_bpcu)
+        cut = _decode_cut(p)
+        k = round(cut * _GRID)
+        near = np.arange(max(k - 50, 0), min(k + 51, _GRID)) / _GRID
+        assert np.array_equal(near >= cut, _gain_decodes(p, near)), p
+        u = rng.random(1_000_000)
+        assert np.array_equal(u >= cut, _gain_decodes(p, u)), p
+        inside += 0.0 < cut < 1.0
+    assert inside >= 20
+
+
+def test_decode_cut_is_zero_at_zero_threshold(toy_point):
+    assert _decode_cut(toy_point) == 0.0
+    assert _gain_decodes(toy_point, np.zeros(1))[0]
+
+
+def test_no_attempt_decodes_when_no_draw_clears_the_threshold(ref_point):
+    # lambda * threshold is 72.8, past -log(2**-53) = 36.7, the largest value
+    # of -log1p(-u) over the draws of random()
+    p = ref_point(rate_bpcu=2.0)
+    assert _decode_cut(p) == 1.0
+    assert not _gain_decodes(p, np.array([1.0 - 2.0**-53]))[0]
+    config = SimConfig(p, 50_000, seed=3)
+    for log in (sample_events(config), sample_slot_events(config)):
+        assert log.success.size > 100
+        assert not log.success.any()
+
+
 def _assert_block_invariant(engine, config, block):
     a = engine(config)
     b = engine(config, block=block)
@@ -293,6 +375,95 @@ def test_renewal_engine_matches_slot_engine_in_distribution(ref_point):
         tv, p_value = _two_sample(a, b)
         assert tv < 0.01, f"{name}: tv={tv:.5f}"
         assert p_value > 1e-3, f"{name}: chi-square p={p_value:.2e}"
+
+
+# --- recharge-time sampler ------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [1e-3, 1.456, 24.0, 145.6, 4000.0])
+def test_alias_draws_follow_recharge_pmf(beta):
+    table = _alias_table(beta)
+    size = table[0].size
+    n = 1_000_000
+    counts = np.bincount(_alias_draws(np.random.default_rng(61), table, n), minlength=size)
+    assert counts.size == size
+    pmf = recharge_pmf(beta, np.arange(1, size + 1))
+    # Total variation, against its mean under the pmf: sum(sd_j)/sqrt(2*pi).
+    tv = 0.5 * float(np.abs(counts / n - pmf).sum())
+    typical = float(np.sqrt(pmf * (1.0 - pmf) / n).sum()) / math.sqrt(2.0 * math.pi)
+    assert tv < 4.0 * typical, f"tv={tv:.2e}, typical {typical:.2e}"
+    # Chi-square over the values expected at least 50 times; the tails on
+    # either side join the nearest of them.
+    expected = n * pmf
+    kept = np.flatnonzero(expected >= 50.0)
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    c, e = counts[lo:hi].astype(float), expected[lo:hi]
+    c[0] += counts[:lo].sum()
+    e[0] += expected[:lo].sum()
+    c[-1] += counts[hi:].sum()
+    e[-1] += expected[hi:].sum()
+    p_value = float(chi2.sf(float(((c - e) ** 2 / e).sum()), c.size - 1))
+    assert p_value > 1e-3, f"chi-square p={p_value:.2e}"
+
+
+def test_alias_draws_match_numpy_poisson():
+    beta = 145.6
+    table_draws = _alias_draws(np.random.default_rng(62), _alias_table(beta), 1_000_000)
+    numpy_draws = np.random.default_rng(63).poisson(beta, 1_000_000)
+    # _two_sample lumps only the right tail, so the draws up to three
+    # standard deviations below the mean join into its first value.
+    low = int(beta - 3.0 * math.sqrt(beta))
+    a, b = (np.maximum(d, low) - (low - 1) for d in (table_draws, numpy_draws))
+    tv, p_value = _two_sample(a, b)
+    assert tv < 0.01, f"tv={tv:.5f}"
+    assert p_value > 1e-3, f"chi-square p={p_value:.2e}"
+
+
+class _LargestDraws:
+    """A generator whose every uniform is the largest random() returns."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_largest_draw_lands_inside_the_table():
+    # u * K stays below K at every table size, not only at those built here
+    sizes = np.arange(1, _CHUNK + 1)
+    assert np.all(((1.0 - 2.0**-53) * sizes).astype(np.int64) < sizes)
+    for beta in (1e-3, 1.456, 24.0, 145.6, 4000.0):
+        table = _alias_table(beta)
+        draws = _alias_draws(_LargestDraws(), table, 3)
+        assert np.all((draws >= 0) & (draws < table[0].size))
+
+
+def test_sampler_choice_rests_on_beta_and_horizon(ref_point, table_builds):
+    # Runs at one beta and horizon that differ in seed, block and decode
+    # threshold all build the table, or none does.
+    for power_w in (3.0, 300.0):
+        beta = derive(ref_point(power_w=power_w)).beta
+        bound = _TABLE_FILLS * _table_size(beta) * (1.0 + beta)
+        for horizon, builds in ((int(0.99 * bound), False), (int(1.01 * bound), True)):
+            for seed, block, rate_bpcu in ((1, 997, 0.05), (2, 1 << 23, 0.5), (3, 7, 0.01)):
+                table_builds.clear()
+                params = ref_point(power_w=power_w, rate_bpcu=rate_bpcu)
+                sample_events(SimConfig(params, horizon, seed), block=block)
+                assert table_builds == ([beta] if builds else []), (beta, horizon)
+    # Below _TABLE_BETA, or past _CHUNK entries, no horizon is long enough.
+    for beta, builds in ((math.nextafter(_TABLE_BETA, 0.0), False), (_TABLE_BETA, True), (1e5, False)):
+        table_builds.clear()
+        next(_renewal_fills(np.random.default_rng(0), beta, _MAX_HORIZON - 1, 1 << 23))
+        assert table_builds == ([beta] if builds else []), beta
+
+
+@pytest.mark.parametrize("warmup", list(Warmup))
+def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmup, table_builds):
+    # beta 145.6 over 1e7 slots: ~68k fills, over _TABLE_FILLS per entry of
+    # the 320-entry table. Every power sum here is an integer below 2**53,
+    # so even the float sums behind the half-width are exact in any order.
+    config = SimConfig(ref_point(), 10_000_000, seed=12, warmup=warmup)
+    expected = simulate(config)
+    assert expected.n_recharges > _TABLE_FILLS * _table_size(table_builds[0])
+    assert simulate(config, block=997) == expected
+    assert len(table_builds) == 2
 
 
 def test_simulate_reduces_renewal_events(ref_point):
