@@ -178,6 +178,17 @@ def truncation_k_max(beta: float) -> int:
     return int(math.ceil(beta + 50.0 * math.sqrt(beta) + 50.0))
 
 
+def _moments(beta):
+    """E[T] and E[T^2] of the recharge time, on floats or arrays, unchecked."""
+    return 1.0 + beta, 1.0 + 3.0 * beta + beta * beta
+
+
+def _age(e_t, e_t2, pi):
+    """The average age from the recharge moments, on floats or arrays,
+    unchecked; a float pi must be positive."""
+    return e_t2 / (2.0 * e_t) + e_t * (1.0 - pi) / pi + 0.5
+
+
 def recharge_moments(beta):
     """First and second moments of the recharge time T.
 
@@ -186,8 +197,7 @@ def recharge_moments(beta):
     b = np.asarray(beta, dtype=float)
     if (b < 0.0).any():
         raise ValueError(f"beta must be non-negative, got {beta}")
-    e_t = 1.0 + b
-    e_t2 = 1.0 + 3.0 * b + b * b
+    e_t, e_t2 = _moments(b)
     if np.ndim(beta) == 0:
         return float(e_t), float(e_t2)
     return e_t, e_t2
@@ -250,7 +260,7 @@ def average_aoi(beta, pi):
     # (1 - pi) / pi is inf at pi = 0 and may overflow to inf at a denormal
     # pi; inf is the intended value there.
     with np.errstate(divide="ignore", over="ignore"):
-        delta = e_t2 / (2.0 * e_t) + e_t * (1.0 - p) / p + 0.5
+        delta = _age(e_t, e_t2, p)
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
         return float(delta)
     return delta

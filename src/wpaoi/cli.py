@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict, replace
 
 from .analytics import analytic_report
 from .experiments import (
     SweepSpec,
+    _csv,
+    _json,
     format_validation_report,
     rows_to_csv,
     rows_to_json,
@@ -62,23 +63,15 @@ def _add_physical_flags(parser: argparse.ArgumentParser, need_capacitor: bool) -
         parser.add_argument("--capacitor-j", type=float, required=True, help="capacitor size B in joules")
     parser.add_argument("--distance-m", type=float, default=None, help="link distance in meters (default 20)")
     parser.add_argument("--alpha", type=float, default=2.2, help="path-loss exponent (default 2.2)")
-    parser.add_argument(
-        "--lambda",
-        dest="channel_rate",
-        type=float,
-        default=None,
-        help="channel gain rate directly; overrides --distance-m",
-    )
+    parser.add_argument("--lambda", dest="channel_rate", type=float, default=None,
+                        help="channel gain rate directly; overrides --distance-m")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
 
 def _params_from_args(args, capacitor_j=None):
-    b = capacitor_j
-    if b is None:
-        b = getattr(args, "capacitor_j", None)
-    if b is None:
-        b = 1.0
+    # a subcommand with --capacitor-j requires it; the others size B later
+    b = getattr(args, "capacitor_j", 1.0) if capacitor_j is None else capacitor_j
     distance = args.distance_m
     if args.channel_rate is None and distance is None:
         distance = 20.0
@@ -105,34 +98,18 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv(records: list[dict]) -> str:
-    """Flat records as CSV: a header of the first record's keys, then one
-    line per record. Booleans are written as 0/1, floats by repr and None as
-    an empty field; a pair value, such as a bracket, becomes two columns,
-    ``<key>_lo`` and ``<key>_hi``, after the others."""
-    rows = []
-    for record in records:
-        pairs = {k: v for k, v in record.items() if isinstance(v, (list, tuple))}
-        row = {k: v for k, v in record.items() if k not in pairs}
-        for k, (lo, hi) in pairs.items():
-            row[f"{k}_lo"], row[f"{k}_hi"] = lo, hi
-        rows.append(row)
-    lines = [",".join(rows[0])] + [",".join(map(_fmt_value, row.values())) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _emit_payload(payload: dict, fmt: str, out) -> None:
-    _emit(_csv([payload]) if fmt == "csv" else json.dumps(payload, indent=2) + "\n", out)
+    """One record as JSON, or as a CSV header and line in which a pair value,
+    such as a bracket, becomes two columns, ``<key>_lo`` and ``<key>_hi``,
+    after the others."""
+    if fmt == "json":
+        _emit(_json(payload) + "\n", out)
+        return
+    pairs = {k: v for k, v in payload.items() if isinstance(v, (list, tuple))}
+    record = {k: v for k, v in payload.items() if k not in pairs}
+    for k, (lo, hi) in pairs.items():
+        record[f"{k}_lo"], record[f"{k}_hi"] = lo, hi
+    _emit(_csv(record, [record.values()]), out)
 
 
 def _cmd_analytic(args) -> int:
@@ -187,31 +164,18 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep_b(args) -> int:
     params = _params_from_args(args, capacitor_j=args.b_values[0])
-    spec = SweepSpec(
-        base=params,
-        swept_field="capacitor_j",
-        values=tuple(args.b_values),
-        with_simulation=args.with_sim,
-        horizon_slots=args.horizon,
-        seed=args.seed,
-    )
-    rows = sweep_aoi_vs_B(spec)
-    fmt = args.format or "csv"
-    _emit(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows), args.out)
-    return 0
+    spec = SweepSpec(params, "capacitor_j", tuple(args.b_values), args.with_sim, args.horizon, args.seed)
+    return _emit_rows(sweep_aoi_vs_B(spec), args)
 
 
 def _cmd_sweep_p(args) -> int:
     params = _params_from_args(args, capacitor_j=1.0)
-    params = replace(params, power_w=args.p_values[0])
-    spec = SweepSpec(
-        base=params,
-        swept_field="power_w",
-        values=tuple(args.p_values),
-    )
-    rows = sweep_minaoi_vs_P(spec, args.r_values)
-    fmt = args.format or "csv"
-    _emit(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows), args.out)
+    spec = SweepSpec(replace(params, power_w=args.p_values[0]), "power_w", tuple(args.p_values))
+    return _emit_rows(sweep_minaoi_vs_P(spec, args.r_values), args)
+
+
+def _emit_rows(rows, args) -> int:
+    _emit(rows_to_json(rows) if args.format == "json" else rows_to_csv(rows), args.out)
     return 0
 
 
@@ -220,15 +184,11 @@ def _cmd_validate(args) -> int:
     report = validation_report(params, args.horizon, args.seed)
     print(format_validation_report(report), end="", file=sys.stderr)
     if report.sim_error is not None:
-        raise NoSuccessError(
-            report.sim_error,
-            report.n_recharges,
-            report.n_attempts,
-            report.n_successes,
-            report.horizon_slots,
-        )
+        counts = (report.n_recharges, report.n_attempts, report.n_successes, report.horizon_slots)
+        raise NoSuccessError(report.sim_error, *counts)
     if args.format == "csv":
-        _emit(_csv([asdict(row) for row in report.rows]), args.out)
+        records = [asdict(row) for row in report.rows]
+        _emit(_csv(records[0], (record.values() for record in records)), args.out)
     else:
         _emit_payload(asdict(report), "json", args.out)
     return 0
@@ -254,20 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physical_flags(p, need_capacitor=True)
     p.add_argument("--horizon", type=int, default=1_000_000, help="slots to simulate (default 1e6)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument(
-        "--warmup",
-        choices=("window", "full"),
-        default="window",
-        help="measure between first and last decoded update, or over the full horizon",
-    )
-    p.add_argument(
-        "--trace",
-        default=None,
-        help=(
-            "also write a per-slot CSV trace here and take the statistics from "
-            "the traced run (slow; use short horizons)"
-        ),
-    )
+    p.add_argument("--warmup", choices=("window", "full"), default="window",
+                   help="measure between first and last decoded update, or over the full horizon")
+    p.add_argument("--trace", default=None,
+                   help="also write a per-slot CSV trace here and take the statistics from "
+                   "the traced run (slow; use short horizons)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optimize", help="find the age-minimizing capacitor size")
@@ -288,12 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-p", help="minimum age versus transmit power table")
     _add_physical_flags(p, need_capacitor=False)
     p.add_argument("--p-values", type=_float_list, required=True, help="comma-separated powers in watts")
-    p.add_argument(
-        "--r-values",
-        type=_float_list,
-        default=(0.05,),
-        help="comma-separated spectral efficiencies (default 0.05)",
-    )
+    p.add_argument("--r-values", type=_float_list, default=(0.05,),
+                   help="comma-separated spectral efficiencies (default 0.05)")
     p.set_defaults(func=_cmd_sweep_p)
 
     p = sub.add_parser("validate", help="closed forms against simulation with verdicts")

@@ -13,9 +13,12 @@ representation so emitted files are byte-stable and re-parse exactly.
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
 import math
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,9 +62,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.swept_field not in _SWEEPABLE:
-            raise ValueError(
-                f"swept_field must be one of {_SWEEPABLE}, got {self.swept_field!r}"
-            )
+            raise ValueError(f"swept_field must be one of {_SWEEPABLE}, got {self.swept_field!r}")
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("values must be non-empty")
@@ -126,17 +127,7 @@ def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
                 delta_sim_ci = stats.delta_ci_half
             except NoSuccessError as exc:
                 sim_error = str(exc)
-        rows.append(
-            SweepRow(
-                swept_value=value,
-                beta=b,
-                pi=p,
-                delta_analytic=age,
-                delta_sim=delta_sim,
-                delta_sim_ci=delta_sim_ci,
-                sim_error=sim_error,
-            )
-        )
+        rows.append(SweepRow(value, b, p, age, delta_sim, delta_sim_ci, sim_error=sim_error))
     return rows
 
 
@@ -154,9 +145,7 @@ def sweep_minaoi_vs_P(spec: SweepSpec, r_values) -> list[SweepRow]:
         raise ValueError("r_values must be non-empty")
     if not all(0.0 <= r < math.inf for r in r_vals):
         raise ValueError("r_values must be non-negative and finite")
-    lanes = [
-        replace(spec.base, power_w=power, rate_bpcu=r) for r in r_vals for power in spec.values
-    ]
+    lanes = [replace(spec.base, power_w=power, rate_bpcu=r) for r in r_vals for power in spec.values]
     opts = optimize_capacitors(lanes)
     b_stars = [opt.b_star_j for opt in opts]
     beta, pi = beta_pi(lanes, np.array(b_stars))
@@ -165,35 +154,81 @@ def sweep_minaoi_vs_P(spec: SweepSpec, r_values) -> list[SweepRow]:
         k = int(np.argmin(pi))
         derive(replace(lanes[k], capacitor_j=b_stars[k]))
     return [
-        SweepRow(
-            swept_value=params.power_w,
-            beta=b,
-            pi=p,
-            delta_analytic=opt.delta_star,
-            b_star=opt.b_star_j,
-            delta_star=opt.delta_star,
-            rate_bpcu=params.rate_bpcu,
-            boundary=opt.on_boundary,
-        )
+        SweepRow(params.power_w, b, p, opt.delta_star, b_star=opt.b_star_j, delta_star=opt.delta_star,
+                 rate_bpcu=params.rate_bpcu, boundary=opt.on_boundary)
         for params, opt, b, p in zip(lanes, opts, beta.tolist(), pi.tolist())
     ]
 
 
 def rows_to_csv(rows) -> str:
     """Serialize sweep rows to the fixed CSV schema, one line per row."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        values = (getattr(row, key) for key in CSV_HEADER.split(","))
-        lines.append(",".join("" if v is None else repr(float(v)) for v in values))
-    return "\n".join(lines) + "\n"
+    keys = CSV_HEADER.split(",")
+    return _csv(keys, map(operator.attrgetter(*keys), rows))
 
 
 def rows_to_json(rows) -> str:
     """Serialize sweep rows to JSON with every field present."""
-    # Every field is a scalar, so a shallow dict equals dataclasses.asdict,
-    # which deep-copies each value.
-    records = [{f.name: getattr(row, f.name) for f in fields(row)} for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+    # A row's __dict__ holds its fields in order, every one a scalar, so it
+    # equals dataclasses.asdict, which deep-copies each value.
+    return _json([vars(row) for row in rows]) + "\n"
+
+
+# repr is the CSV and JSON text of these types, but for the words below.
+_REPR_TYPES = {float, int, bool, type(None)}
+_CSV_WORDS = {"None": "", "True": "1", "False": "0"}
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(values, words) -> list:
+    """The repr of each value, all of ``_REPR_TYPES``, or its word; C calls only."""
+    texts = [*map(repr, values)]
+    return [*map(words.get, texts, texts)]
+
+
+def _csv(header, rows) -> str:
+    """A line of column names, then one line per row of values, one value per
+    column: floats and ints by repr, booleans as 0/1, None as an empty field,
+    the rest by str."""
+    cells = [*itertools.chain.from_iterable(rows)]
+    if _REPR_TYPES.issuperset(map(type, cells)):
+        texts = _texts(cells, _CSV_WORDS)
+    else:
+        texts = [_texts([v], _CSV_WORDS)[0] if type(v) in _REPR_TYPES else str(v) for v in cells]
+    n = len(header)
+    lines = [",".join(header), *(",".join(texts[i : i + n]) for i in range(0, len(texts), n))]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
+    keys, lists, tuples, strings, ints, floats, booleans and None. Numbers
+    must be of exactly these types: a numpy scalar raises TypeError.
+
+    ``json.dumps`` skips its C encoder whenever ``indent`` is set. Here a
+    record of scalars is encoded in C calls and filled into a template made
+    once per sequence of keys and depth.
+    """
+    if type(obj) in _REPR_TYPES:
+        return _texts([obj], _JSON_WORDS)[0]
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        values = obj.values()
+        fast = _REPR_TYPES.issuperset(map(type, values))
+        texts = _texts(values, _JSON_WORDS) if fast else [_json(value, inner) for value in values]
+        return _json_template(tuple(obj), indent) % tuple(texts) if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = ",\n".join(inner + _json(item, inner) for item in obj)
+        return f"[\n{items}\n{indent}]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=64)
+def _json_template(keys: tuple, indent: str) -> str:
+    inner = indent + "  "
+    items = (inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
 @dataclass(frozen=True)
@@ -267,17 +302,7 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     rows = []
     for (name, target, empirical, tol), half in zip(measured, halves):
         rel = abs(empirical - target) / target
-        rows.append(
-            ValidationRow(
-                statistic=name,
-                analytic=target,
-                empirical=empirical,
-                ci_half=half,
-                rel_err=rel,
-                tolerance=tol,
-                passed=rel < tol,
-            )
-        )
+        rows.append(ValidationRow(name, target, empirical, half, rel, tol, passed=rel < tol))
     return ValidationReport(rows=tuple(rows), all_passed=all(r.passed for r in rows), **counts)
 
 

@@ -32,8 +32,11 @@ __all__ = [
 
 
 def dbm_to_watts(x_dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    """Convert a power level in dBm to watts; inf beyond the float range."""
+    try:
+        return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(x_w: float) -> float:
@@ -121,6 +124,8 @@ class SystemParams:
             raise ValueError(f"capacitor_j must be positive, got {self.capacitor_j}")
         if self.channel_rate <= 0.0:
             raise ValueError(f"channel_rate must be positive, got {self.channel_rate}")
+        if self.efficiency * self.power_w == 0.0:
+            raise ValueError(f"efficiency * power_w underflows to zero at power_w {self.power_w}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,25 @@ class DerivedParams:
 
 def _coefficients(p: SystemParams) -> tuple[float, float, float]:
     """lambda, eta*P and lambda*(2**r - 1)*sigma^2: beta is lambda*B/(eta*P)
-    and pi is exp(-lambda*(2**r - 1)*sigma^2/B)."""
+    and pi is exp(-lambda*(2**r - 1)*sigma^2/B). A rate too large for
+    2**r to fit a float makes the threshold, and the third value, infinite."""
     lam = p.channel_rate
-    return lam, p.efficiency * p.power_w, lam * (2.0**p.rate_bpcu - 1.0) * p.noise_w
+    threshold = 2.0**p.rate_bpcu - 1.0 if p.rate_bpcu < 1024.0 else math.inf
+    return lam, p.efficiency * p.power_w, lam * threshold * p.noise_w
+
+
+def _beta(lam, eta_p, b):
+    """beta from the first two coefficients, on floats or broadcasting arrays."""
+    return lam * b / eta_p
+
+
+def _pi(k, b):
+    """pi from the third coefficient, element by element with ``math.exp``:
+    a float for floats, else an array of the broadcast shape."""
+    exponent = k / b
+    if isinstance(exponent, float):
+        return math.exp(-exponent)
+    return np.array([math.exp(-e) for e in exponent.ravel().tolist()]).reshape(exponent.shape)
 
 
 def beta_pi(params, capacitor_j):
@@ -169,34 +190,17 @@ def beta_pi(params, capacitor_j):
         valid = ((b > 0.0) & (b < math.inf)).all()
     if not valid:
         raise ValueError(f"capacitor sizes must be positive and finite, got {capacitor_j}")
-    return _beta_pi_at(params)(b)
-
-
-def _beta_pi_at(params):
-    """:func:`beta_pi` with the operating points bound: a function of the
-    capacitor sizes alone, which does not check them. The lane coefficients
-    are computed once, here, so a search that evaluates the same lanes many
-    times does not rebuild them at every step."""
     if isinstance(params, SystemParams):
         lam, eta_p, k = _coefficients(params)
+        if isinstance(b, float):  # Python floats overflow to inf without a warning
+            return _beta(lam, eta_p, b), _pi(k, b)
     else:
-        lam, eta_p, k = np.array([_coefficients(p) for p in params]).reshape(-1, 3).T
-
-    def at(b):
-        if isinstance(lam, np.ndarray) and np.ndim(b) > 1:
-            # lane i goes with b[i]; further axes of b broadcast
-            lane_shape = (-1, *(1,) * (np.ndim(b) - 1))
-            beta = lam.reshape(lane_shape) * b / eta_p.reshape(lane_shape)
-            exponent = k.reshape(lane_shape) / b
-        else:
-            beta = lam * b / eta_p
-            exponent = k / b
-        pi = [math.exp(-e) for e in np.ravel(exponent).tolist()]
-        if isinstance(exponent, float):
-            return float(beta), pi[0]
-        return beta, np.array(pi).reshape(exponent.shape)
-
-    return at
+        # lane i goes with b[i]; further axes of b broadcast
+        lane_shape = (-1, *(1,) * (np.ndim(b) - 1))
+        coefficients = np.array([_coefficients(p) for p in params]).reshape(-1, 3).T
+        lam, eta_p, k = (c.reshape(lane_shape) for c in coefficients)
+    with np.errstate(over="ignore"):  # beta and the exponent may overflow to inf
+        return _beta(lam, eta_p, b), _pi(k, b)
 
 
 def derive(params: SystemParams) -> DerivedParams:

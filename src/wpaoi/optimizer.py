@@ -4,13 +4,16 @@ The average age is a smooth function of the capacitor size with two opposing
 terms: a small capacitor fills fast but rarely survives decoding (the success
 probability collapses), a large one is reliable but slow to fill. The
 minimizer is found by a coarse logarithmic grid scan followed by golden
-section refinement inside the best bracketing triple. The grid stage guards
-against the objective not being unimodal, which is not guaranteed.
+section refinement inside the best bracketing triple (Kiefer 1953). The grid
+stage guards against the objective not being unimodal, which is not
+guaranteed.
 
-The search runs many operating points (lanes) in lockstep: each step
-evaluates every lane at once, and per-lane masks keep a lane's bracket fixed
-once it has converged. Every lane follows exactly the steps, and gets
-exactly the result, it would get searched alone.
+The grid stage scans every operating point (lane) at once. pi depends on the
+lane only through lambda*(2**r - 1)*sigma^2, which the lanes of a power sweep
+share, so it is computed once per distinct value. The refinement then runs
+lane by lane on Python floats, through the same formula kernels as
+:func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`, so
+each evaluation equals theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import average_aoi
-from .model import SystemParams, _beta_pi_at
+from .analytics import _age, _moments, average_aoi
+from .model import SystemParams, _beta, _coefficients, _pi
 
 __all__ = ["OptResult", "optimize_capacitor", "optimize_capacitors"]
 
@@ -71,52 +74,57 @@ def optimize_capacitors(
         raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
     if n_grid < 3:
         raise ValueError(f"n_grid must be >= 3, got {n_grid}")
-    lanes = list(lanes)
+    coefficients = [_coefficients(p) for p in lanes]
+    lam, eta_p, k = np.array(coefficients).reshape(-1, 3).T[:, :, None]
+    k_rows, row = np.unique(k, return_inverse=True)
     # Every size below lies in [b_lo, b_hi], so none needs checking again.
-    at = _beta_pi_at(lanes)
-    grid = np.geomspace(b_lo, b_hi, n_grid)
-    vals = average_aoi(*at(np.broadcast_to(grid, (len(lanes), n_grid))))
-    idx = np.argmin(vals, axis=1)
-    interior = (idx > 0) & (idx < n_grid - 1)
-    a = grid[np.maximum(idx - 1, 0)]
-    c = grid[np.minimum(idx + 1, n_grid - 1)]
+    # geomspace overflows inside near the top of the float range, and a beta
+    # or pi exponent that overflows gives an infinite or NaN age.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.geomspace(b_lo, b_hi, n_grid)
+        vals = average_aoi(_beta(lam, eta_p, grid), _pi(k_rows[:, None], grid)[row.ravel()])
+    idx = np.argmin(vals, axis=1).tolist()
+    grid = grid.tolist()
+    return [
+        _refine(*lane, grid, i, v, tol_rel)
+        for lane, i, v in zip(coefficients, idx, vals[np.arange(len(idx)), idx].tolist())
+    ]
+
+
+def _refine(lam, eta_p, k, grid, i, grid_min, tol_rel) -> OptResult:
+    """Golden section search of one lane inside the grid cells around grid[i]."""
+    n_grid = len(grid)
+    a, c = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
+    if not 0 < i < n_grid - 1:
+        return OptResult(grid[i], grid_min, n_grid, (a, c), converged=False, on_boundary=True)
+
+    def age(b):
+        e_t, e_t2 = _moments(_beta(lam, eta_p, b))
+        pi = _pi(k, b)
+        if pi > 0.0:
+            return _age(e_t, e_t2, pi)
+        # pi underflowed: inf as on the grid, or NaN where beta overflowed too
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(_age(e_t, e_t2, np.float64(pi)))
+
     x1 = a + _INVPHI2 * (c - a)
     x2 = a + _INVPHI * (c - a)
-    f1 = average_aoi(*at(x1))
-    f2 = average_aoi(*at(x2))
-    evaluations = np.where(interior, n_grid + 2, n_grid)
-    active = interior & ((c - a) > tol_rel * x1)
-    while active.any():
-        # Left lanes keep [a, x2] and probe a new x1; right lanes keep
-        # [x1, c] and probe a new x2.
-        left = active & (f1 <= f2)
-        right = active & ~left
-        c = np.where(left, x2, c)
-        a = np.where(right, x1, a)
-        x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
-        f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
-        x1 = np.where(left, a + _INVPHI2 * (c - a), x1)
-        x2 = np.where(right, a + _INVPHI * (c - a), x2)
-        f_new = average_aoi(*at(np.where(left, x1, x2)))
-        f1 = np.where(left, f_new, f1)
-        f2 = np.where(right, f_new, f2)
-        evaluations += active
-        active &= (c - a) > tol_rel * x1
-
-    take_x1 = f1 <= f2
-    b_star = np.where(interior, np.where(take_x1, x1, x2), grid[idx])
-    delta_star = np.where(interior, np.where(take_x1, f1, f2), vals[np.arange(len(lanes)), idx])
-    return [
-        OptResult(
-            b_star_j=float(b_star[i]),
-            delta_star=float(delta_star[i]),
-            evaluations=int(evaluations[i]),
-            bracket=(float(a[i]), float(c[i])),
-            converged=bool(interior[i]),
-            on_boundary=not interior[i],
-        )
-        for i in range(len(lanes))
-    ]
+    f1, f2 = age(x1), age(x2)
+    evaluations = n_grid + 2
+    while (c - a) > tol_rel * x1:
+        if f1 <= f2:
+            # keep [a, x2] and probe a new x1
+            c, x2, f2 = x2, x1, f1
+            x1 = a + _INVPHI2 * (c - a)
+            f1 = age(x1)
+        else:
+            # keep [x1, c] and probe a new x2
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (c - a)
+            f2 = age(x2)
+        evaluations += 1
+    b_star, delta_star = (x1, f1) if f1 <= f2 else (x2, f2)
+    return OptResult(b_star, delta_star, evaluations, (a, c), converged=True)
 
 
 def optimize_capacitor(

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wpaoi
 from wpaoi import SimConfig, build_params, dbm_to_watts, sample_events
@@ -280,3 +285,64 @@ def test_repeated_calls_match_a_fresh_process(tmp_path, capsys):
             assert capsys.readouterr() == ("", "")
         assert run_cli(["sweep-p", "--power-w", "3", "--p-values", "1,3", "--r-values", "0.1",
                         "--out", str(tmp_path / "between")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--power-w", "3", "--capacitor-j", "3e-4"],
+        ["simulate", "--power-w", "300", "--capacitor-j", "3e-4", "--horizon", "100000"],
+        ["simulate", *_TOY, "--horizon", "3", "--warmup", "full"],
+        ["optimize", "--power-w", "3"],
+        ["optimize", "--power-w", "3", "--b-lo", "3e-3", "--b-hi", "3.0003e-3"],
+        ["sweep-b", "--power-w", "3", "--b-values", "1e-5,3e-4", "--with-sim", "--horizon", "300"],
+        ["sweep-p", "--power-w", "3", "--p-values", "1e-3,3,1e5", "--r-values", "0,0.05"],
+        ["validate", *_TOY, "--horizon", "20000", "--seed", "1"],
+    ],
+    ids=["analytic", "simulate", "simulate-one-cycle", "optimize", "optimize-boundary",
+         "sweep-b-failed-sim", "sweep-p", "validate"],
+)
+def test_json_output_equals_json_dumps(capsys, argv):
+    assert run_cli([*argv, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_EXTREMES = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300,
+        1.7976931348623157e308, -1.7976931348623157e308, 1024.0, 1023.9999999999999, 1e4,
+    ]),
+    st.floats(),
+)
+_SEARCH_FLAGS = ["--b-lo", "--b-hi", "--rate-bpcu", "--noise-dbm", "--power-w", "--p-values", "--r-values"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example("optimize", {"--rate-bpcu": 1e4})  # 2**r overflows
+@example("sweep-p", {"--r-values": 1024.0})
+@example("sweep-p", {"--noise-dbm": 1e4})  # the dBm conversion overflows
+@example("optimize", {"--power-w": 5e-324})  # eta * P underflows to zero
+@example("optimize", {"--power-w": 1e-300})  # beta**2 overflows
+# The golden section steps meet a pi that underflows and a beta that overflows.
+@example("optimize", {"--power-w": 1e-300, "--rate-bpcu": 100.0, "--b-hi": 1e30})
+@example("sweep-p", {"--p-values": 1e-300})
+@example("optimize", {"--b-lo": 5e-324})  # the pi exponent overflows
+@example("optimize", {"--b-hi": 1.7976931348623157e308})  # geomspace overflows inside
+@given(
+    command=st.sampled_from(["optimize", "sweep-p"]),
+    values=st.dictionaries(st.sampled_from(_SEARCH_FLAGS), _EXTREMES, min_size=1, max_size=3),
+)
+def test_search_commands_exit_with_documented_codes(command, values):
+    argv = [command, "--power-w", "3", "--format", "json"]
+    if command == "sweep-p":
+        argv += ["--p-values", "1,3"]
+    # --flag=value, so that argparse reads a negative value as a value
+    argv += [f"{flag}={value!r}" for flag, value in values.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

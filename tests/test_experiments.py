@@ -9,6 +9,7 @@ from wpaoi import (
     CSV_HEADER,
     SweepRow,
     SweepSpec,
+    ValidationReport,
     average_aoi,
     derive,
     format_validation_report,
@@ -18,6 +19,7 @@ from wpaoi import (
     sweep_minaoi_vs_P,
     validation_report,
 )
+from wpaoi.experiments import _csv, _json
 
 _B_GRID = (1e-4, 3.36e-4, 1e-3)
 _DELTAS = (622.36583866962915, 271.39091688037567, 386.681949809714)
@@ -239,6 +241,90 @@ def test_json_rows_equal_dataclass_asdict():
     ]
     assert rows_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     assert rows_to_json([]) == "[]\n"
+
+
+# Strings of the kind a sim_error or a key may hold: non-ASCII, control,
+# quote and backslash characters, and the format characters of a template.
+_STRINGS = [
+    "",
+    "fewer than two decoded updates (recharges=1, successes=0)",
+    "caf\u00e9 \u2615 \U0001d518",
+    "tab\tnewline\ncr\rnul\x00unit\x1fdel\x7f",
+    'quote " backslash \\ slash /',
+    "%s %d %% %(key)s {}",
+]
+_SCALARS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+    0.1 + 0.2, 1e16, 123456789.0, None, True, False, 0, -7, 2**64, -(2**70) + 1, *_STRINGS,
+]
+
+
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_json_writer_matches_json_dumps_on_scalars(value):
+    for obj in (value, [value], {"k": value}, {"a": value, "b": [value, {"c": value}]}):
+        assert _json(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_shapes():
+    shapes = [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[1]], ()],
+        {key: key for key in _STRINGS},
+        [{"x": 1.5, "y": None}, {"x": 2, "y": True}, {"y": False, "x": math.nan}, {}],
+        {"bracket": (1e-4, 1e-3), "rows": [{"n": 1}], "flag": False},
+    ]
+    for obj in shapes:
+        assert _json(obj) == json.dumps(obj, indent=2)
+    # numpy scalars are not written (the program writes Python floats only)
+    for value in (np.int64(1), np.float64(0.5), {1, 2}):
+        with pytest.raises(TypeError):
+            _json({"a": value})
+
+
+def test_json_writer_matches_json_dumps_on_validation_payloads(toy_point):
+    empty = ValidationReport(
+        rows=(), all_passed=False, n_recharges=1, n_attempts=1, n_successes=0,
+        horizon_slots=100, seed=0, sim_error="fewer than two decoded updates",
+    )
+    full = validation_report(toy_point, horizon=20_000, seed=1)
+    for report in (empty, full):
+        assert _json(asdict(report)) == json.dumps(asdict(report), indent=2)
+
+
+@pytest.mark.parametrize("sim_error", _STRINGS)
+def test_json_rows_with_odd_sim_errors_equal_json_dumps(sim_error):
+    rows = [
+        SweepRow(1e-4, math.nan, 0.0, math.inf, sim_error=sim_error),
+        SweepRow(2e-4, 1.0, 5e-324, -math.inf, -0.0, None, boundary=True, sim_error=sim_error),
+    ]
+    assert rows_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+
+
+def test_csv_writer_of_rows_keeps_its_format():
+    assert rows_to_csv([]) == CSV_HEADER + "\n"
+    rows = [
+        SweepRow(1e-4, 48.5, 0.1, 622.36583866962915),
+        SweepRow(3.0, 0.1 + 0.2, 5e-324, math.inf, math.nan, -0.0, 3.37e-4, -math.inf, 0.05, True),
+    ]
+    lines = rows_to_csv(rows).split("\n")
+    assert lines == [
+        CSV_HEADER,
+        "0.0001,48.5,0.1,622.3658386696292,,,,",
+        "3.0,0.30000000000000004,5e-324,inf,nan,-0.0,0.000337,-inf",
+        "",
+    ]
+
+
+def test_csv_writer_formats_each_kind_of_value():
+    rows = [
+        [1.5, None, True, False, 7, "e_t2", 2**70, math.nan],
+        (x for x in [0.1, 3, None, "None", False, "True", -0.0, math.inf]),
+    ]
+    assert _csv(["a", "b", "c", "d", "e", "f", "g", "h"], rows) == (
+        "a,b,c,d,e,f,g,h\n"
+        f"1.5,,1,0,7,e_t2,{2**70},nan\n"
+        "0.1,3,,None,0,True,-0.0,inf\n"
+    )
+    assert _csv(["only"], []) == "only\n"
 
 
 def test_validation_report_toy_point_passes(toy_point):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wpaoi import (
+    OptResult,
     SystemParams,
     average_aoi,
     beta_pi,
@@ -213,3 +214,115 @@ def test_lockstep_search_keeps_boundary_lanes_apart(ref_point):
     assert edge.b_star_j == pytest.approx(1e-3, rel=1e-12)
     assert inner == optimize_capacitor(lanes[1], 1e-4, 1e-3)
     assert inner.converged
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
+    """The search written plainly for one lane, with every evaluation a call
+    of the public closed forms: the grid in one array call, whose entries
+    equal scalar calls bit for bit, and the golden section steps on floats."""
+    grid = np.geomspace(b_lo, b_hi, n_grid)
+    vals = _age(params, grid).tolist()
+    grid = grid.tolist()
+    i = int(np.argmin(vals))
+    a, c = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
+    if i in (0, n_grid - 1):
+        return OptResult(grid[i], vals[i], n_grid, (a, c), converged=False, on_boundary=True)
+    x1, x2 = a + _INVPHI2 * (c - a), a + _INVPHI * (c - a)
+    f1, f2 = _age(params, x1), _age(params, x2)
+    evaluations = n_grid + 2
+    while c - a > tol_rel * x1:
+        if f1 <= f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = a + _INVPHI2 * (c - a)
+            f1 = _age(params, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (c - a)
+            f2 = _age(params, x2)
+        evaluations += 1
+    if f1 <= f2:
+        return OptResult(x1, f1, evaluations, (a, c), converged=True)
+    return OptResult(x2, f2, evaluations, (a, c), converged=True)
+
+
+def _random_lanes(n, seed):
+    """Powers log-uniform over 1e-4..1e5 W and rates uniform over 0..4 bits
+    per channel use, around the reference distance and noise."""
+    rng = np.random.default_rng(seed)
+    lanes = []
+    for _ in range(n):
+        params, _ = build_params(
+            power_w=float(10.0 ** rng.uniform(-4.0, 5.0)),
+            capacitor_j=1.0,
+            efficiency=float(rng.uniform(0.1, 1.0)),
+            noise_w=dbm_to_watts(float(rng.uniform(-70.0, -30.0))),
+            rate_bpcu=float(rng.uniform(0.0, 4.0)),
+            distance_m=float(rng.uniform(5.0, 40.0)),
+        )
+        lanes.append(params)
+    return lanes
+
+
+@pytest.mark.parametrize(
+    "lanes, bounds",
+    [
+        (_design_sweep_lanes(), (1e-9, 1.0)),
+        (_random_scenarios(), (1e-8, 1.0)),
+        (_random_lanes(500, 2024), (1e-9, 1.0)),
+    ],
+    ids=["design_sweep", "criterion_5", "random"],
+)
+def test_search_equals_plain_reference(lanes, bounds):
+    assert optimize_capacitors(lanes, *bounds) == [_reference_search(p, *bounds) for p in lanes]
+
+
+def test_search_equals_plain_reference_on_the_edges(ref_point):
+    # minimum below the interval, above it, and inside it
+    cases = [
+        (_search_point(ref_point), 3e-3, 3e-3 * 1.0001),
+        (_search_point(ref_point, power_w=1e4), 1e-4, 1e-3),
+        (_search_point(ref_point), 1e-6, 1e-2),
+    ]
+    for params, b_lo, b_hi in cases:
+        assert optimize_capacitor(params, b_lo, b_hi) == _reference_search(params, b_lo, b_hi)
+    lower, upper, inner = (optimize_capacitor(p, lo, hi) for p, lo, hi in cases)
+    assert lower.on_boundary and lower.b_star_j == 3e-3
+    assert upper.on_boundary and upper.b_star_j == pytest.approx(1e-3, rel=1e-12)
+    assert inner.converged
+
+
+@pytest.mark.parametrize("n_grid", [256, 64, 3])
+def test_search_equals_plain_reference_on_a_wide_bracket(ref_point, n_grid):
+    # The best grid cell of a bracket of 600 decades borders sizes whose
+    # success probability is tiny (256 points) or underflows to zero (64 and
+    # 3). With 3 points the golden steps start among infinite ages, so ties
+    # f1 == f2 decide their first ~1,200 steps.
+    params = _search_point(ref_point, rate_bpcu=4.0)
+    b_lo, b_hi = 1e-300, 1e300
+    result = optimize_capacitor(params, b_lo, b_hi, n_grid=n_grid)
+    grid = np.geomspace(b_lo, b_hi, n_grid)
+    with np.errstate(over="ignore"):  # beta**2 overflows at the top of the grid
+        assert result == _reference_search(params, b_lo, b_hi, n_grid=n_grid)
+        i = int(np.argmin(_age(params, grid)))
+    assert result.converged
+    pi_below = beta_pi(params, float(grid[i - 1]))[1]
+    assert pi_below < 1e-150
+    assert (pi_below == 0.0) == (n_grid != 256)
+
+
+def test_search_equals_plain_reference_where_beta_overflows(ref_point):
+    # beta overflows above ~100 J and pi underflows below ~1e25 J, so the
+    # ages there are inf/inf = NaN and the grid's first NaN is its minimum;
+    # the golden steps then meet pi == 0 and ties of infinite ages.
+    params = _search_point(ref_point, power_w=1e-300, rate_bpcu=100.0)
+    for n_grid in (256, 17):
+        result = optimize_capacitor(params, 1e-9, 1e30, n_grid=n_grid)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reference = _reference_search(params, 1e-9, 1e30, n_grid=n_grid)
+        # NaN != NaN, so the results are compared by their reprs
+        assert repr(result) == repr(reference)
+        assert result.converged and math.isnan(result.delta_star)
