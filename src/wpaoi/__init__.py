@@ -50,8 +50,6 @@ from .simulator import (
     SimStats,
     Warmup,
     batch_ci,
-    empirical_aoi,
-    extract_cycles,
     sample_events,
     sample_slot_events,
     simulate,
@@ -87,8 +85,6 @@ __all__ = [
     "channel_rate_from_distance",
     "dbm_to_watts",
     "derive",
-    "empirical_aoi",
-    "extract_cycles",
     "format_validation_report",
     "interarrival_moments",
     "mean_peak_area",

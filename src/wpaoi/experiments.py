@@ -104,16 +104,18 @@ def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
     The closed forms of all sizes come from one broadcast evaluation of
     :func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`,
     equal bit for bit to evaluating each size alone. A size whose success
-    probability underflows raises the ValueError of
-    :func:`~wpaoi.model.derive`. A sweep point whose simulation produces no
+    probability underflows, or whose E[T^2] overflows, raises the ValueError
+    of :func:`~wpaoi.model.derive`. A sweep point whose simulation produces no
     decoded update is flagged in the row rather than aborting the sweep.
     """
     if spec.swept_field != "capacitor_j":
         raise ValueError(f"expected a capacitor_j sweep, got {spec.swept_field!r}")
     beta, pi = beta_pi(spec.base, np.array(spec.values))
-    if not pi.all():
-        # derive raises its underflow error at the first such size
-        derive(replace(spec.base, capacitor_j=spec.values[int(np.argmin(pi))]))
+    with np.errstate(over="ignore"):
+        refused = (pi == 0.0) | (beta * beta == math.inf)
+    if refused.any():
+        # derive raises its error at the first such size
+        derive(replace(spec.base, capacitor_j=spec.values[int(refused.argmax())]))
     delta = average_aoi(beta, pi)
     rows = []
     for value, b, p, age in zip(spec.values, beta.tolist(), pi.tolist(), delta.tolist()):

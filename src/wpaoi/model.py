@@ -73,7 +73,10 @@ def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> flo
         raise ValueError(f"path-loss exponent must be positive, got {alpha}")
     if c0 <= 0.0:
         raise ValueError(f"reference constant must be positive, got {c0}")
-    return c0 * d_m**alpha
+    try:
+        return c0 * d_m**alpha
+    except OverflowError:
+        raise ValueError(f"d_m**alpha overflows at distance {d_m} and exponent {alpha}") from None
 
 
 @dataclass(frozen=True)
@@ -206,16 +209,17 @@ def beta_pi(params, capacitor_j):
 def derive(params: SystemParams) -> DerivedParams:
     """Compute (beta, pi) for a physical operating point.
 
-    Raises ValueError if the success probability underflows to zero, which
-    happens when the decode threshold is astronomically unlikely to be met;
-    the interarrival moments diverge there and no downstream quantity is
-    meaningful.
+    Raises ValueError if the success probability underflows to zero, where
+    the decode threshold is astronomically unlikely to be met, or if beta is
+    so large that E[T^2] overflows: no downstream quantity is meaningful.
     """
     beta, pi = beta_pi(params, params.capacitor_j)
     if pi <= 0.0:
         raise ValueError(
             f"success probability underflows to zero at capacitor_j {params.capacitor_j!r}"
         )
+    if beta * beta == math.inf:
+        raise ValueError(f"E[T^2] overflows a float at beta {beta!r}")
     return DerivedParams(beta=beta, pi=pi)
 
 

@@ -59,14 +59,16 @@ def optimize_capacitors(
     """Find the age-minimizing capacitor size of each operating point in ``lanes``.
 
     A log-spaced scan of ``n_grid`` points over [b_lo, b_hi] locates each
-    lane's best grid cell; ties go to the smaller capacitor, and a size whose
-    success probability underflows counts as an infinite age. Golden section
-    search then shrinks each lane's bracketing triple until its width
-    relative to the candidate is below ``tol_rel``.
+    lane's best grid cell; ties go to the smaller capacitor. A size whose
+    success probability underflows counts as an infinite age, and so does
+    one whose beta overflows, where the age is NaN. Golden section search
+    then shrinks each lane's bracketing triple until its width relative to
+    the candidate is below ``tol_rel``.
 
     If the scan puts a lane's minimum on the first or last grid point the
     true minimizer is (or may be) outside the interval; the grid point is
-    returned with ``converged=False`` and ``on_boundary=True``.
+    returned with ``converged=False`` and ``on_boundary=True``. A lane with
+    no finite age on the grid raises ValueError.
     """
     if not 0.0 < b_lo < b_hi < math.inf:
         raise ValueError(f"need 0 < b_lo < b_hi < inf, got ({b_lo}, {b_hi})")
@@ -83,12 +85,16 @@ def optimize_capacitors(
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.geomspace(b_lo, b_hi, n_grid)
         vals = average_aoi(_beta(lam, eta_p, grid), _pi(k_rows[:, None], grid)[row.ravel()])
+    # A NaN age, inf/inf where beta overflows, ranks as an infinite one.
+    vals[np.isnan(vals)] = math.inf
     idx = np.argmin(vals, axis=1).tolist()
+    grid_min = vals[np.arange(len(idx)), idx].tolist()
+    for p, v in zip(lanes, grid_min):
+        if not math.isfinite(v):
+            where = f"power_w {p.power_w!r}, rate_bpcu {p.rate_bpcu!r}"
+            raise ValueError(f"no capacitor size in [{b_lo!r}, {b_hi!r}] gives a finite age at {where}")
     grid = grid.tolist()
-    return [
-        _refine(*lane, grid, i, v, tol_rel)
-        for lane, i, v in zip(coefficients, idx, vals[np.arange(len(idx)), idx].tolist())
-    ]
+    return [_refine(*lane, grid, i, v, tol_rel) for lane, i, v in zip(coefficients, idx, grid_min)]
 
 
 def _refine(lam, eta_p, k, grid, i, grid_min, tol_rel) -> OptResult:
@@ -101,11 +107,9 @@ def _refine(lam, eta_p, k, grid, i, grid_min, tol_rel) -> OptResult:
     def age(b):
         e_t, e_t2 = _moments(_beta(lam, eta_p, b))
         pi = _pi(k, b)
-        if pi > 0.0:
-            return _age(e_t, e_t2, pi)
-        # pi underflowed: inf as on the grid, or NaN where beta overflowed too
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(_age(e_t, e_t2, np.float64(pi)))
+        v = _age(e_t, e_t2, pi) if pi > 0.0 else math.inf
+        # inf where pi underflows, as on the grid, or beta overflows (inf/inf)
+        return v if v == v else math.inf
 
     x1 = a + _INVPHI2 * (c - a)
     x2 = a + _INVPHI * (c - a)

@@ -15,8 +15,8 @@ Three execution paths sample this system:
   and the overshoot past B is discarded, so every recharge time is exactly
   ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots:
   a long enough run at beta of at least 1 draws them from a Walker alias
-  table of the recharge law, one uniform per fill, and any other run with
-  numpy's Poisson sampler.
+  table of the recharge law, one uniform and mostly one cell lookup per
+  fill, and any other run with numpy's Poisson sampler.
 * :func:`sample_slot_events` runs the slot dynamics themselves, a block at a
   time, and finds fills by binary search in cumulative harvest sums. It is
   the reference for the renewal claim above and backs the ``--trace`` path.
@@ -68,8 +68,6 @@ __all__ = [
     "sample_slot_events",
     "summarize",
     "simulate",
-    "extract_cycles",
-    "empirical_aoi",
     "batch_ci",
     "trace_rows",
     "write_trace",
@@ -100,12 +98,12 @@ _DENSE_BETA = 24.0
 
 # The renewal engine draws recharge times from an alias table when beta is at
 # least _TABLE_BETA and the run expects at least _TABLE_FILLS fills per table
-# entry, and with numpy's Poisson sampler otherwise. Timed both ways with
-# numpy 2.4.6 on 2 vCPUs: a table draw costs ~13.5 ns at any beta; a Poisson
-# draw ~7 ns at beta 0.001, ~13.5 ns at 0.3, ~23 ns at 1 and 27-53 ns from
-# 1.5 up; building the table ~50 us at beta 1.5 and ~180 us at 145.6. Whole
-# runs break even near 64 fills per entry from beta 1.5 to 5, between 16 and
-# 32 from 24 to 4000, and near 100 at beta 1.
+# entry, and with numpy's Poisson sampler otherwise. Timed side by side with
+# numpy 2.4.6 on 2 vCPUs: a table draw ~8 ns up to beta 24, ~10 at 145.6 and
+# ~12 at 4000 and at _CHUNK entries; a Poisson draw ~17 ns at beta 0.001, ~26
+# at 0.3, ~42 at 1 and 47-70 from 1.5 up; a build 0.1-0.2 ms up to beta 1.5.
+# The constants were set when a table draw cost ~0.6 of a Poisson one at beta
+# 1, not ~0.2; they stay, since moving them changes realizations.
 _TABLE_BETA = 1.0
 _TABLE_FILLS = 64
 
@@ -213,6 +211,11 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]
     return np.random.default_rng(h_ss), np.random.default_rng(g_ss)
 
 
+def _threshold(p: SystemParams) -> float:
+    """The channel gain that decodes, (2^r - 1)*sigma^2/B; inf where 2^r overflows."""
+    return (2.0**p.rate_bpcu - 1.0 if p.rate_bpcu < 1024.0 else math.inf) * p.noise_w / p.capacitor_j
+
+
 def _decode_cut(p: SystemParams) -> float:
     """The smallest draw of ``random()`` whose attempt decodes, or 1.0 if none does.
 
@@ -224,7 +227,7 @@ def _decode_cut(p: SystemParams) -> float:
     lands within a few points of it, and bisection takes over when it does
     not. An attempt then decodes exactly when its draw reaches the cut.
     """
-    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / p.capacitor_j
+    threshold = _threshold(p)
 
     def decodes(k):
         # gains = -log1p(-u) / lambda in one buffer; the sign moves into the
@@ -268,10 +271,13 @@ def _table_size(beta: float) -> int:
     return int(beta + 12.0 * math.sqrt(beta)) + 30
 
 
-def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walker's alias table (Walker 1977, built by Vose's 1991 method) of
-    ``Poisson(beta)`` over 0..K-1, K = :func:`_table_size`, as (q, alias):
-    entry j gives j with probability q[j] and alias[j] otherwise."""
+    ``Poisson(beta)`` over 0..K-1, K = :func:`_table_size`, as (q, alias,
+    cells): entry j gives j with probability q[j] and alias[j] otherwise.
+    Cell c of entry j, one of 2^m >= 8 (K*2^m is about 2^14), covers coin
+    fractions [c, c + 1) / 2^m: j while c + 1 <= e = q[j]*2^m, alias[j] from
+    c >= e on, and -1 in the cell that e splits, unless e is an integer."""
     size = _table_size(beta)
     pmf = recharge_pmf(beta, np.arange(1, size + 1))
     q = (pmf * (size / pmf.sum())).tolist()
@@ -287,18 +293,39 @@ def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
     # What rounding leaves in either list is an entry of probability one.
     for j in small + large:
         q[j] = 1.0
-    return np.array(q), np.array(alias, dtype=np.int64)
+    q, alias = np.array(q), np.array(alias, dtype=np.int64)
+    m = max(3, 14 - size.bit_length())
+    edge = q * (1 << m)
+    lo, hi = np.floor(edge).astype(np.int64), np.ceil(edge).astype(np.int64)
+    counts = np.stack([lo, hi - lo, (1 << m) - hi], axis=1)
+    values = np.stack([np.arange(size), np.full(size, -1), alias], axis=1)
+    return q, alias, np.repeat(values.ravel(), counts.ravel())
 
 
-def _alias_draws(h_rng, table: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """``n`` draws from an :func:`_alias_table`, one uniform each: its integer
-    part after scaling by K picks the entry and its fraction tosses the coin."""
-    q, alias = table
-    u = h_rng.random(n)
-    u *= q.size
+def _alias_draws(h_rng, table: tuple[np.ndarray, np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """``n`` draws from an :func:`_alias_table`, one uniform u each: the
+    integer part of K*u picks the entry and its fraction tosses the coin.
+    Scaling by 2^m is exact, so int(u*K*2^m) is the cell of fl(u*K); the
+    draws in a cell of -1, at most 2^-m of them, toss the coin on fl(u*K)."""
+    q, alias, cells = table
+    v = h_rng.random(n)
+    v *= cells.size
+    s = v.astype(np.int64)
+    # Every cell index is in range; "clip" only spares take a buffered copy.
+    cells.take(s, out=s, mode="clip")
+    miss = np.flatnonzero(s < 0)
+    u = v[miss] / (cells.size // q.size)
     j = u.astype(np.int64)
     u -= j
-    return np.where(u < q[j], j, alias[j])
+    s[miss] = np.where(u < q[j], j, alias[j])
+    return s
+
+
+def _fill_bound(slots: int, beta: float) -> int:
+    """The fills ``slots`` slots need, plus 12 standard deviations of the fill
+    count (its variance is below need / 4); far more costs more than the run."""
+    need = slots / (1.0 + beta)
+    return int(need + 6.0 * math.sqrt(need)) + 16
 
 
 def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
@@ -316,11 +343,7 @@ def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
     pos = 0
     while True:
         left = horizon - pos
-        # Draw what the rest of the horizon needs with a margin of at least
-        # 12 standard deviations of the fill count, whose variance is below
-        # need / 4; far larger chunks cost more than the run itself.
-        need = left / (1.0 + beta)
-        n = min(block, _CHUNK, int(need + 6.0 * math.sqrt(need)) + 16)
+        n = min(block, _CHUNK, _fill_bound(left, beta))
         s = h_rng.poisson(beta, n) if table is None else _alias_draws(h_rng, table, n)
         # A recharge longer than what is left ends the run. Capping each one
         # at left + 1 keeps the running sum below 2 * 2^62 up to its first
@@ -368,7 +391,8 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     built once per run over 0..K-1 with K = beta + 12*sqrt(beta) + 30 and
     renormalized: the tail it leaves out is below ~1e-30. Each fill takes
     one uniform u: the integer part of K*u picks an entry and its fraction
-    tosses the entry's coin, at a resolution of 2^-(53 - log2 K). Any other
+    tosses the entry's coin, at a resolution of 2^-(53 - log2 K); most
+    draws read that outcome from a cell of the table, bit for bit. Any other
     run, and any table above ``_CHUNK`` entries, uses numpy's Poisson
     sampler, which gives the same sequence however it is split. Either way
     the choice rests on beta and the horizon alone and every fill consumes
@@ -378,13 +402,24 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     Decode outcomes are drawn from a second substream, one draw per attempt,
     in fill order, as in :func:`sample_slot_events`. A beta above numpy's
     Poisson limit (~9.2e18) puts the first fill beyond any horizon, so the
-    run has no fill. :func:`simulate` reduces the same chunks as they come,
-    without keeping the log.
+    run has no fill. The log is written in place into arrays allocated at
+    the bound the chunks are sized by, 12 standard deviations past the
+    expected fills, and grown only by a run that outlasts it.
+    :func:`simulate` reduces the same chunks as they come, without a log.
     """
-    chunks = list(_event_chunks(config, block))
-    fills = [f for f, _ in chunks] or [np.empty(0, dtype=np.int64)]
-    success = [s for _, s in chunks] or [np.empty(0, dtype=bool)]
-    return EventLog(np.concatenate(fills), np.concatenate(success), config.horizon_slots)
+    beta, _ = beta_pi(config.params, config.params.capacitor_j)
+    size = _fill_bound(config.horizon_slots, beta)
+    fills, success = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
+    n = a = 0
+    for f, s in _event_chunks(config, block):
+        if n + f.size > fills.size:
+            fills = np.resize(fills, 2 * n + f.size)
+            success = np.resize(success, fills.size)
+        fills[n : n + f.size] = f
+        success[a : a + s.size] = s
+        n += f.size
+        a += s.size
+    return EventLog(fills[:n], success[:a], config.horizon_slots)
 
 
 def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
@@ -473,38 +508,6 @@ def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
     return fills, success
 
 
-def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose an event log into cycle arrays: recharge durations t,
-    update interarrival times x, per-update attempt counts m.
-
-    Cycles are anchored at a virtual origin before the first slot, so the
-    first recharge interval is the slot of the first fill and the first
-    interarrival spans from the origin to the first decoded update.
-
-    Returns
-    -------
-    (t_list, x_list, m_list) : int64 arrays
-        t_list[i] is the number of slots between fill i-1 and fill i.
-        x_list[k] is the number of slots between decoded update k-1 and k,
-        measured between their fill slots. m_list[k] is the number of
-        attempts that update k consumed. For every k, x_list[k] equals the
-        sum of its m_list[k] constituent entries of t_list exactly.
-
-    Raises
-    ------
-    ValueError
-        If the log is structurally inconsistent.
-    """
-    fills, success = _checked(log)
-    t_list = np.diff(fills, prepend=np.int64(0))
-    if np.any(t_list[1:] <= 0):
-        raise ValueError("fill slots must be strictly increasing")
-    attempt_idx = np.flatnonzero(success)
-    x_list = np.diff(fills[attempt_idx], prepend=np.int64(0))
-    m_list = np.diff(attempt_idx + 1, prepend=np.int64(0))
-    return t_list, x_list, m_list
-
-
 def _exact_sum(v: np.ndarray, top: int) -> int:
     """Sum of non-negative int64 entries of at most ``top``, as a Python int.
 
@@ -525,30 +528,6 @@ def _square_sum(y: np.ndarray) -> int:
         big = a > _X_FITS
         return _square_sum(a[~big]) + sum(v * v for v in a[big].tolist())
     return _exact_sum(a * a, top * top)
-
-
-def _area(x: np.ndarray) -> int:
-    """Exact sum of X*(X+1)/2 over int64 X >= 1, the slot ages of whole cycles."""
-    return (_square_sum(x) + _exact_sum(x, int(x.max()))) // 2
-
-
-def empirical_aoi(x_intervals) -> float:
-    """Time-average age over whole interarrival cycles.
-
-    An interarrival of X slots contributes ages 1, 2, ..., X, an area of
-    X*(X+1)/2, so the average is the ratio of total area to total slots.
-    Both totals are exact integers however long the run.
-    """
-    x = np.asarray(x_intervals)
-    if x.size == 0:
-        raise ValueError("empirical_aoi needs at least one interarrival sample")
-    if x.dtype.kind not in "iu":
-        if not np.all(np.equal(np.mod(x, 1), 0)):
-            raise ValueError("interarrival samples must be integers")
-    x = x.astype(np.int64)
-    if x.min() < 1:
-        raise ValueError("interarrival samples must be >= 1")
-    return float(_area(x)) / float(_exact_sum(x, int(x.max())))
 
 
 def batch_ci(samples, n_batches: int = 20) -> tuple[float, float]:
@@ -577,13 +556,28 @@ def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
     if not v.size:
         return _NO_SUMS
     y = v - shift
-    s2 = _square_sum(y)
+    top = max(int(y.max()), -int(y.min()))
     yf = y.astype(float)
-    y2 = yf * yf
+    if top > _X_FITS:
+        s2 = _square_sum(y)
+        y2 = yf * yf
+    else:
+        # y is exact as a float, so the rounded exact square is yf * yf.
+        np.multiply(y, y, out=y)
+        s2 = _exact_sum(y, top * top)
+        y2 = y.astype(float)
     np.multiply(y2, yf, out=yf)
     s3 = float(yf.sum())
     np.multiply(y2, y2, out=yf)
     return s2, s3, float(yf.sum())
+
+
+def _steps(v: np.ndarray, start) -> np.ndarray:
+    """``np.diff(v, prepend=start)`` of a non-empty v, without copying v."""
+    d = np.empty_like(v)
+    d[0] = v[0] - start
+    np.subtract(v[1:], v[:-1], out=d[1:])
+    return d
 
 
 def _add(*sums: tuple) -> tuple:
@@ -738,7 +732,7 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
     first = last = (0, -1)
     head = window = tail = x_window = _NO_SUMS
     for fills, success in chunks:
-        t = np.diff(fills, prepend=np.int64(last_fill))
+        t = _steps(fills, last_fill)
         if t.min() < 1:
             raise ValueError("fill slots must be strictly increasing")
         if not n_fills:
@@ -747,7 +741,7 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
         if hits.size:
             updates = fills[hits]
             # At the first update x opens with the cycle from the origin, u0.
-            x = np.diff(updates, prepend=np.int64(last[0]))
+            x = _steps(updates, last[0])
             j = 0
             if not n_successes:
                 j = int(hits[0]) + 1
@@ -837,7 +831,7 @@ def trace_rows(config: SimConfig):
     h_rng, g_rng = _spawn_streams(config.seed)
     scale = p.efficiency * p.power_w / p.channel_rate
     cap = p.capacitor_j
-    threshold = (2.0**p.rate_bpcu - 1.0) * p.noise_w / cap
+    threshold = _threshold(p)
     level = 0.0
     age = 1
     full = False

@@ -20,8 +20,6 @@ from wpaoi import (
     beta_pi,
     build_params,
     derive,
-    empirical_aoi,
-    extract_cycles,
     interarrival_moments,
     mean_peak_area,
     optimize_capacitor,
@@ -36,6 +34,7 @@ from wpaoi import (
 )
 
 from conftest import REF_LAMBDA
+from reference_cycles import empirical_aoi, extract_cycles
 
 
 @contextmanager

@@ -93,6 +93,22 @@ def test_long_horizon_age_does_not_wrap(capsys):
     assert abs(payload["delta_hat"] - 26999574.662277177) < 3.0 * payload["delta_ci_half"]
 
 
+def test_optimize_over_a_bracket_where_beta_overflows(capsys):
+    # Above ~1e298 J beta overflows and the age is NaN, which an unordered
+    # argmin took for the minimum: exit 0 with a NaN optimum on the edge.
+    assert run_cli(["optimize", "--power-w", "1e-4"]) == 0
+    inner = json.loads(capsys.readouterr().out)
+    assert run_cli(["optimize", "--power-w", "1e-4", "--b-lo", "1e-300", "--b-hi", "1e300"]) == 0
+    wide = json.loads(capsys.readouterr().out)
+    assert wide["converged"] and not wide["on_boundary"]
+    assert math.isfinite(wide["delta_star"])
+    assert wide["delta_star"] == pytest.approx(inner["delta_star"], rel=1e-9)
+    # where no size gives a finite age, the search says so
+    argv = ["optimize", "--power-w", "1e-300", "--rate-bpcu", "100", "--b-hi", "1e30"]
+    assert run_cli(argv) == 3
+    assert "finite age" in capsys.readouterr().err
+
+
 def test_no_success_exit_code(capsys):
     code = run_cli(
         ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "5"]
@@ -337,12 +353,64 @@ def test_search_commands_exit_with_documented_codes(command, values):
     argv = [command, "--power-w", "3", "--format", "json"]
     if command == "sweep-p":
         argv += ["--p-values", "1,3"]
+    _assert_documented_exit(argv, values, (0, 2, 3))
+
+
+def _assert_documented_exit(argv, values, codes):
     # --flag=value, so that argparse reads a negative value as a value
-    argv += [f"{flag}={value!r}" for flag, value in values.items()]
+    argv = [*argv, *(f"{flag}={value!r}" for flag, value in values.items())]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert code in codes, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue())
+
+
+_BASE_ARGV = {
+    "analytic": ["analytic", "--power-w", "3", "--capacitor-j", "3e-4"],
+    "simulate": ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "20000"],
+    "sweep-b": ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4", "--with-sim",
+                "--horizon", "20000"],
+    "validate": ["validate", "--power-w", "300", "--capacitor-j", "3e-4", "--horizon", "20000"],
+}
+_PHYSICAL_FLAGS = ["--power-w", "--efficiency", "--noise-dbm", "--rate-bpcu", "--distance-m",
+                   "--alpha", "--lambda"]
+# Horizons that are refused, or short: a long one at a dense point would run
+# for hours, so the extremes are only those that allocate nothing.
+_HORIZONS = st.one_of(
+    st.sampled_from([-(2**63), -1, 0, 1, 2, 3, 2**62, 2**64, 10**30]),
+    st.integers(-10, 3000),
+)
+_SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64, 10**30]), st.integers(0, 10))
+_RUN_FLAGS = {"--horizon": _HORIZONS, "--seed": _SEEDS}
+_COMMAND_FLAGS = {
+    "analytic": {"--capacitor-j": _EXTREMES},
+    "simulate": {"--capacitor-j": _EXTREMES, **_RUN_FLAGS},
+    "sweep-b": {"--b-values": _EXTREMES, **_RUN_FLAGS},
+    "validate": {"--capacitor-j": _EXTREMES, **_RUN_FLAGS},
+}
+
+
+@st.composite
+def _command_values(draw):
+    command = draw(st.sampled_from(sorted(_BASE_ARGV)))
+    flags = {flag: _EXTREMES for flag in _PHYSICAL_FLAGS} | _COMMAND_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
+    return command, {flag: draw(flags[flag]) for flag in chosen}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(("simulate", {"--horizon": 2**62}))
+@example(("validate", {"--seed": -1}))
+@example(("simulate", {"--capacitor-j": 1e300}))  # no fill within the horizon
+@example(("validate", {"--power-w": 1e300, "--horizon": 1}))
+@example(("sweep-b", {"--b-values": 5e-324}))
+@example(("analytic", {"--lambda": 1.7976931348623157e308}))
+@example(("analytic", {"--alpha": 1e300}))  # d**alpha overflows
+@example(("simulate", {"--rate-bpcu": 1024.0}))  # 2**r overflows in the decode cut
+@given(_command_values())
+def test_other_commands_exit_with_documented_codes(case):
+    command, values = case
+    _assert_documented_exit([*_BASE_ARGV[command], "--format", "json"], values, (0, 2, 3, 4))

@@ -13,6 +13,7 @@ from wpaoi import (
     average_aoi,
     derive,
     format_validation_report,
+    optimize_capacitor,
     rows_to_csv,
     rows_to_json,
     sweep_aoi_vs_B,
@@ -160,15 +161,19 @@ def test_minimum_age_sweep_equals_lane_by_lane_closed_forms(ref_point):
 
 
 def test_minimum_age_sweep_underflow_raises_derive_error(ref_point):
-    # at r = 30 pi underflows over the whole bracket, so the search ends on
-    # its lower edge with an infinite age
+    # at r = 30 pi underflows over the whole bracket, from its lower edge
+    # on, so no grid age is finite and the search of the first such lane
+    # refuses the sweep
     base = ref_point(capacitor_j=1.0)
-    with pytest.raises(ValueError) as expected:
+    with pytest.raises(ValueError, match="underflows"):
         derive(replace(base, rate_bpcu=30.0, capacitor_j=1e-9))
+    with pytest.raises(ValueError) as expected:
+        optimize_capacitor(replace(base, rate_bpcu=30.0, power_w=1.0))
     spec = SweepSpec(base=base, swept_field="power_w", values=(1.0, 3.0))
     with pytest.raises(ValueError) as raised:
         sweep_minaoi_vs_P(spec, r_values=[0.05, 30.0])
     assert str(raised.value) == str(expected.value)
+    assert "finite age at power_w 1.0, rate_bpcu 30.0" in str(raised.value)
 
 
 def test_minimum_age_sweep_validates_inputs(ref_point):

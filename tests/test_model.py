@@ -135,6 +135,13 @@ def test_derive_rejects_underflowing_success_probability(ref_point):
         derive(ref_point(capacitor_j=1e-12))
 
 
+def test_derive_rejects_a_beta_whose_square_overflows(ref_point):
+    # beta = lambda*B/(eta*P) is 1.46e6*B/P at the reference point
+    assert derive(ref_point(power_w=1.46e6, capacitor_j=1e154)).beta < 1.34e154
+    with pytest.raises(ValueError, match="overflows"):
+        derive(ref_point(power_w=1.46e6, capacitor_j=1e155))
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e-1),
     st.floats(min_value=0.5, max_value=20.0),

@@ -46,10 +46,12 @@ def test_objective_limits(ref_point):
     params = _search_point(ref_point)
     # collapse of the success probability dominates as B shrinks
     assert _age(params, 3e-6) > 1e4
-    # pi underflows to zero, and the age is infinite, in the search too
+    # pi underflows to zero, and the age is infinite; a search that finds
+    # no finite age says so
     assert beta_pi(params, 1e-12)[1] == 0.0
     assert _age(params, 1e-12) == math.inf
-    assert optimize_capacitor(params, 1e-13, 1e-12).delta_star == math.inf
+    with pytest.raises(ValueError, match="finite age"):
+        optimize_capacitor(params, 1e-13, 1e-12)
     # slow charging dominates as B grows, roughly linearly
     ratio = _age(params, 0.2) / _age(params, 0.1)
     assert ratio == pytest.approx(2.0, rel=0.05)
@@ -220,29 +222,39 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def _ranked_age(params, b_j):
+    """The age, with NaN (inf/inf where beta overflows) ranked as infinite."""
+    age = _age(params, b_j)
+    return np.where(np.isnan(age), math.inf, age)
+
+
 def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
     """The search written plainly for one lane, with every evaluation a call
     of the public closed forms: the grid in one array call, whose entries
-    equal scalar calls bit for bit, and the golden section steps on floats."""
+    equal scalar calls bit for bit, and the golden section steps on floats.
+    A NaN age ranks as an infinite one, and a grid without a finite age has
+    no minimum."""
     grid = np.geomspace(b_lo, b_hi, n_grid)
-    vals = _age(params, grid).tolist()
+    vals = _ranked_age(params, grid).tolist()
     grid = grid.tolist()
     i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        raise ValueError("no finite age on the grid")
     a, c = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
     if i in (0, n_grid - 1):
         return OptResult(grid[i], vals[i], n_grid, (a, c), converged=False, on_boundary=True)
     x1, x2 = a + _INVPHI2 * (c - a), a + _INVPHI * (c - a)
-    f1, f2 = _age(params, x1), _age(params, x2)
+    f1, f2 = float(_ranked_age(params, x1)), float(_ranked_age(params, x2))
     evaluations = n_grid + 2
     while c - a > tol_rel * x1:
         if f1 <= f2:
             c, x2, f2 = x2, x1, f1
             x1 = a + _INVPHI2 * (c - a)
-            f1 = _age(params, x1)
+            f1 = float(_ranked_age(params, x1))
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (c - a)
-            f2 = _age(params, x2)
+            f2 = float(_ranked_age(params, x2))
         evaluations += 1
     if f1 <= f2:
         return OptResult(x1, f1, evaluations, (a, c), converged=True)
@@ -316,13 +328,38 @@ def test_search_equals_plain_reference_on_a_wide_bracket(ref_point, n_grid):
 
 def test_search_equals_plain_reference_where_beta_overflows(ref_point):
     # beta overflows above ~100 J and pi underflows below ~1e25 J, so the
-    # ages there are inf/inf = NaN and the grid's first NaN is its minimum;
-    # the golden steps then meet pi == 0 and ties of infinite ages.
+    # ages there are inf/inf = NaN and every other age is infinite: no grid
+    # age is finite, and both searches refuse the lane.
     params = _search_point(ref_point, power_w=1e-300, rate_bpcu=100.0)
     for n_grid in (256, 17):
-        result = optimize_capacitor(params, 1e-9, 1e30, n_grid=n_grid)
+        with pytest.raises(ValueError, match="finite age"):
+            optimize_capacitor(params, 1e-9, 1e30, n_grid=n_grid)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reference = _reference_search(params, 1e-9, 1e30, n_grid=n_grid)
-        # NaN != NaN, so the results are compared by their reprs
-        assert repr(result) == repr(reference)
-        assert result.converged and math.isnan(result.delta_star)
+            with pytest.raises(ValueError):
+                _reference_search(params, 1e-9, 1e30, n_grid=n_grid)
+    # Here beta overflows above ~4e302 J, so the top grid point's age is NaN,
+    # which an unordered argmin took for the minimum. Ranked as infinite, it
+    # leaves the finite middle point, and the golden steps start among NaN
+    # and infinite ages at both ends.
+    params = _search_point(ref_point)
+    result = optimize_capacitor(params, 1e-300, 1e303, n_grid=3)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert math.isnan(_age(params, 1e303))
+        assert result == _reference_search(params, 1e-300, 1e303, n_grid=3)
+    assert result.converged and math.isfinite(result.delta_star)
+    assert result.delta_star == pytest.approx(_DELTA_STAR_P3, rel=5e-3)
+
+
+def test_age_is_unimodal_in_the_capacitor_size():
+    # Golden section finds the minimum only of a unimodal function (Kiefer
+    # 1953); the grid scan brackets it on that premise. On random lanes the
+    # finite ages on a fine log grid fall and then rise, with one turn.
+    grid = np.geomspace(1e-12, 1e3, 4000)
+    for params in _random_lanes(1000, 1953):
+        ages = average_aoi(*beta_pi(params, grid))
+        finite = np.flatnonzero(np.isfinite(ages))
+        assert finite.size > 100 and np.all(np.diff(finite) == 1), params
+        steps = np.sign(np.diff(ages[finite]))
+        steps = steps[steps != 0]
+        turns = np.count_nonzero(np.diff(steps))
+        assert turns == 1 and steps[0] < 0 < steps[-1], params

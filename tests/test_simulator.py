@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import REF_LAMBDA
+from reference_cycles import empirical_aoi, extract_cycles
 from scipy.stats import chi2
 
 import wpaoi.simulator as simulator
@@ -20,8 +21,6 @@ from wpaoi import (
     build_params,
     dbm_to_watts,
     derive,
-    empirical_aoi,
-    extract_cycles,
     recharge_pmf,
     sample_events,
     sample_slot_events,
@@ -38,11 +37,14 @@ from wpaoi.simulator import (
     _POISSON_LAM_MAX,
     _TABLE_BETA,
     _TABLE_FILLS,
+    _X_FITS,
     _Z975,
     _alias_draws,
     _alias_table,
     _cycle_sums,
     _decode_cut,
+    _event_chunks,
+    _power_sums,
     _renewal_fills,
     _table_size,
 )
@@ -418,11 +420,15 @@ def test_alias_draws_match_numpy_poisson():
     assert p_value > 1e-3, f"chi-square p={p_value:.2e}"
 
 
-class _LargestDraws:
-    """A generator whose every uniform is the largest random() returns."""
+class _GivenDraws:
+    """A generator whose uniforms are the given ones, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
 
     def random(self, n):
-        return np.full(n, 1.0 - 2.0**-53)
+        assert n == self.u.size
+        return self.u.copy()
 
 
 def test_largest_draw_lands_inside_the_table():
@@ -431,8 +437,104 @@ def test_largest_draw_lands_inside_the_table():
     assert np.all(((1.0 - 2.0**-53) * sizes).astype(np.int64) < sizes)
     for beta in (1e-3, 1.456, 24.0, 145.6, 4000.0):
         table = _alias_table(beta)
-        draws = _alias_draws(_LargestDraws(), table, 3)
+        # every uniform the largest random() returns
+        draws = _alias_draws(_GivenDraws(np.full(3, 1.0 - 2.0**-53)), table, 3)
         assert np.all((draws >= 0) & (draws < table[0].size))
+
+
+def _plain_alias_draws(u, q, alias):
+    """The alias rule as written: j = floor(u*K), then j if u*K - j < q[j]
+    and alias[j] otherwise."""
+    v = u * q.size
+    j = v.astype(np.int64)
+    return np.where(v - j < q[j], j, alias[j])
+
+
+def _adversarial_uniforms(q):
+    """Uniforms on both sides of every j/K and (j + q[j])/K, on the 2^-53
+    grid of random() and one float away, with 0 and the largest draw."""
+    j = np.arange(q.size)
+    edges = np.concatenate([j / q.size, (j + q) / q.size])
+    on_grid = np.floor(edges * _GRID)[:, None] + np.arange(-2, 3)
+    u = np.concatenate([
+        on_grid.ravel() / _GRID,
+        np.nextafter(edges, 0.0),
+        edges,
+        np.nextafter(edges, 1.0),
+        [0.0, 1.0 - 2.0**-53],
+    ])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+# The beta of the largest table the engine builds, _CHUNK entries.
+_LARGEST_TABLE_BETA = 62_506.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.456, 24.0, 145.6, 4000.0, _LARGEST_TABLE_BETA])
+def test_alias_draws_equal_the_plain_rule(beta):
+    assert _table_size(_LARGEST_TABLE_BETA) == _CHUNK < _table_size(_LARGEST_TABLE_BETA + 1.0)
+    q, alias, cells = table = _alias_table(beta)
+    u = _adversarial_uniforms(q)
+    # both kinds of cell are hit: most draws read theirs, some fall back
+    fallback = cells[(u * cells.size).astype(np.int64)] < 0
+    assert 0 < np.count_nonzero(fallback) < u.size
+    expected = _plain_alias_draws(u, q, alias)
+    assert np.array_equal(_alias_draws(_GivenDraws(u), table, u.size), expected)
+    # and on plain draws; at most 2^-m of the cells, and so of the draws,
+    # fall back
+    u = np.random.default_rng(64).random(200_000)
+    assert np.array_equal(_alias_draws(_GivenDraws(u), table, u.size), _plain_alias_draws(u, q, alias))
+    assert cells.size // q.size >= 8
+    assert np.mean(cells < 0) <= q.size / cells.size
+
+
+def _concatenated_chunks(config, block):
+    chunks = list(_event_chunks(config, block))
+    fills = np.concatenate([f for f, _ in chunks] or [np.empty(0, dtype=np.int64)])
+    success = np.concatenate([s for _, s in chunks] or [np.empty(0, dtype=bool)])
+    return fills, success
+
+
+@pytest.mark.parametrize(
+    "power_w, capacitor_j, horizon, block",
+    [
+        (300.0, 3e-4, 1_000_000, 1 << 23),  # alias table, ~400k fills
+        (300.0, 3e-4, 200_000, 997),
+        (3.0, 3e-4, 2_000_000, 1 << 23),  # alias table at beta 145.6
+        (3.0, 3e-4, 30_000, 7),  # numpy's Poisson sampler
+        (3e4, 3e-4, 100_000, 1 << 23),  # beta 0.015
+        (3.0, 0.5, 100, 1 << 23),  # no fill
+    ],
+)
+def test_sample_events_equals_its_chunks(ref_point, power_w, capacitor_j, horizon, block):
+    config = SimConfig(ref_point(power_w=power_w, capacitor_j=capacitor_j), horizon, seed=21)
+    fills, success = _concatenated_chunks(config, block)
+    log = sample_events(config, block=block)
+    assert log.fill_slots.dtype == np.int64 and log.success.dtype == bool
+    assert np.array_equal(log.fill_slots, fills)
+    assert np.array_equal(log.success, success)
+    assert log.horizon_slots == horizon
+
+
+def test_sample_events_grows_its_log_past_the_bound(ref_point, monkeypatch):
+    # A sampler whose every recharge takes one slot fills each slot, far
+    # past the bound the log is allocated at, chunk after chunk.
+    renewal_fills = simulator._renewal_fills
+
+    def one_slot_recharges(h_rng, beta, horizon, block):
+        return renewal_fills(h_rng, 0.0, horizon, block)
+
+    monkeypatch.setattr(simulator, "_renewal_fills", one_slot_recharges)
+    for horizon, block in ((300_000, 1 << 23), (5_000, 7)):
+        config = SimConfig(ref_point(), horizon, seed=22)
+        log = sample_events(config, block=block)
+        beta = derive(config.params).beta
+        assert log.fill_slots.size == horizon > 4 * simulator._fill_bound(horizon, beta)
+        fills, success = _concatenated_chunks(config, block)
+        assert np.array_equal(log.fill_slots, fills)
+        assert np.array_equal(log.fill_slots, np.arange(1, horizon + 1))
+        assert np.array_equal(log.success, success)
+        assert log.success.size == horizon - 1
 
 
 def test_sampler_choice_rests_on_beta_and_horizon(ref_point, table_builds):
@@ -503,6 +605,19 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     assert stats.delta_ci_half == pytest.approx(age_half, rel=1e-9)
     halves = [_Z975 * np.std(v, ddof=1) / math.sqrt(v.size) for v in (tf, tf * tf, xf, xf * xf)]
     assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+
+
+@pytest.mark.parametrize("top", [30, 2**26, _X_FITS, _X_FITS + 1, 2**40])
+def test_power_sums_equal_the_plain_form(top):
+    # Below _X_FITS the float y^2 comes from the exact int64 square, which
+    # rounds to yf * yf; above it the squares are exact Python ints.
+    v = np.random.default_rng(top % 997).integers(0, top, 20_000) + top // 3
+    shift = int(v[0])
+    y = [int(a) - shift for a in v.tolist()]
+    yf = v.astype(float) - float(shift)
+    assert yf.tolist() == [float(a) for a in y]
+    plain = (sum(a * a for a in y), float((yf * yf * yf).sum()), float(((yf * yf) * (yf * yf)).sum()))
+    assert _power_sums(v, shift) == plain
 
 
 @pytest.mark.parametrize("warmup", list(Warmup))
