@@ -16,7 +16,10 @@ Three execution paths sample this system:
   ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots:
   a long enough run at beta of at least 1 draws them from a Walker alias
   table of the recharge law, one uniform and mostly one cell lookup per
-  fill, and any other run with numpy's Poisson sampler.
+  fill, and any other run with numpy's Poisson sampler. The table of the
+  last beta is kept, so runs at one operating point build it once. The
+  fill slots of a chunk of draws are one running sum, cut at the horizon
+  by one binary search on the table path.
 * :func:`sample_slot_events` runs the slot dynamics themselves, a block at a
   time, and finds fills by binary search in cumulative harvest sums. It is
   the reference for the renewal claim above and backs the ``--trace`` path.
@@ -40,7 +43,11 @@ run needs running sums over its cycles, not its event log: the reduction
 takes the fills a chunk at a time, carries the open cycle and the
 measurement window across chunk edges, and keeps the cycle count and the
 power sums of the recharge and interarrival times, taken about the first
-one of each so that they do not cancel. :func:`simulate` feeds it
+one of each so that they do not cancel. Where a chunk's times are few
+distinct small integers and its sums stay below 2^53, the sums come
+exactly from one histogram of the times, bit for bit what the float sums
+give.
+:func:`simulate` feeds it
 straight from the sampler, so its memory stays bounded however long the
 horizon; :func:`summarize` feeds it a given log.
 """
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +92,9 @@ _X_FITS = 3_037_000_499
 _Z975 = 1.959963984540054
 # random() draws the multiples of 1/_GRID below one.
 _GRID = 1 << 53
+# Integers below this in size are exact floats, so a float sum of integers
+# whose partial sums all stay below it is exact in any order.
+_EXACT_SUM = 1 << 53
 
 # Largest mean numpy's Poisson sampler accepts (its own limit, int64 max less
 # ten standard deviations); above it the first fill lies past ~9.2e18 slots.
@@ -103,7 +114,9 @@ _DENSE_BETA = 24.0
 # ~12 at 4000 and at _CHUNK entries; a Poisson draw ~17 ns at beta 0.001, ~26
 # at 0.3, ~42 at 1 and 47-70 from 1.5 up; a build 0.1-0.2 ms up to beta 1.5.
 # The constants were set when a table draw cost ~0.6 of a Poisson one at beta
-# 1, not ~0.2; they stay, since moving them changes realizations.
+# 1, not ~0.2, and when every run paid for its own build. The table of the
+# last beta is kept, so a process pays the build once each time beta
+# changes. They stay, since moving them changes realizations.
 _TABLE_BETA = 1.0
 _TABLE_FILLS = 64
 
@@ -271,13 +284,18 @@ def _table_size(beta: float) -> int:
     return int(beta + 12.0 * math.sqrt(beta)) + 30
 
 
+@functools.lru_cache(maxsize=1)
 def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walker's alias table (Walker 1977, built by Vose's 1991 method) of
     ``Poisson(beta)`` over 0..K-1, K = :func:`_table_size`, as (q, alias,
     cells): entry j gives j with probability q[j] and alias[j] otherwise.
     Cell c of entry j, one of 2^m >= 8 (K*2^m is about 2^14), covers coin
     fractions [c, c + 1) / 2^m: j while c + 1 <= e = q[j]*2^m, alias[j] from
-    c >= e on, and -1 in the cell that e splits, unless e is an integer."""
+    c >= e on, and -1 in the cell that e splits, unless e is an integer.
+
+    The table of the last beta is kept, at most ~5 MB (the largest,
+    ``_CHUNK`` entries), so runs at one operating point build it once per
+    process. Its arrays are shared by every caller and so are read-only."""
     size = _table_size(beta)
     pmf = recharge_pmf(beta, np.arange(1, size + 1))
     q = (pmf * (size / pmf.sum())).tolist()
@@ -299,7 +317,10 @@ def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi = np.floor(edge).astype(np.int64), np.ceil(edge).astype(np.int64)
     counts = np.stack([lo, hi - lo, (1 << m) - hi], axis=1)
     values = np.stack([np.arange(size), np.full(size, -1), alias], axis=1)
-    return q, alias, np.repeat(values.ravel(), counts.ravel())
+    table = q, alias, np.repeat(values.ravel(), counts.ravel())
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _alias_draws(h_rng, table: tuple[np.ndarray, np.ndarray, np.ndarray], n: int) -> np.ndarray:
@@ -331,7 +352,14 @@ def _fill_bound(slots: int, beta: float) -> int:
 def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
     """Yield the fill slots up to the horizon, the running sum of
     ``1 + Poisson(beta)`` draws, in chunks of at most ``block`` and
-    ``_CHUNK`` fills. No chunk is empty."""
+    ``_CHUNK`` fills. No chunk is empty.
+
+    The slot of the last fill so far enters the first draw of a chunk, so
+    one cumulative sum gives the chunk's fill slots. On the table path a
+    draw is below K <= ``_CHUNK``, so the sum of a chunk cannot wrap: it is
+    sorted, and one binary search finds the fills within the horizon. A
+    Poisson draw is unbounded, so that path caps each recharge and finds
+    the first fill past the horizon by comparison."""
     if beta > _POISSON_LAM_MAX:
         return
     # The alias table pays for its build only over enough fills; the choice
@@ -344,17 +372,24 @@ def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
     while True:
         left = horizon - pos
         n = min(block, _CHUNK, _fill_bound(left, beta))
-        s = h_rng.poisson(beta, n) if table is None else _alias_draws(h_rng, table, n)
-        # A recharge longer than what is left ends the run. Capping each one
-        # at left + 1 keeps the running sum below 2 * 2^62 up to its first
-        # entry past the horizon; later entries may wrap and are not used.
+        if table is None:
+            s = h_rng.poisson(beta, n)
+            # A recharge longer than what is left ends the run. Capping each
+            # one at left + 1 keeps the running sum below 2^63 up to its
+            # first entry past the horizon; later entries may wrap.
+            np.minimum(s, left, out=s)
+        else:
+            s = _alias_draws(h_rng, table, n)
         s += 1
-        np.minimum(s, left + 1, out=s)
+        s[0] += pos
         np.cumsum(s, out=s)
-        past = s > left
-        k = int(past.argmax())
-        s += pos
-        if past[k]:
+        if table is None:
+            past = s > horizon
+            k = int(past.argmax())
+            k = k if past[k] else n
+        else:
+            k = int(s.searchsorted(horizon, "right"))
+        if k < n:
             if k:
                 yield s[:k]
             return
@@ -388,8 +423,9 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     When beta is at least 1 and the run expects at least 64 fills per entry
     of the table, ``T - 1`` comes from a Walker alias table (Walker 1977;
     Vose 1991) of the recharge PMF of :func:`~wpaoi.analytics.recharge_pmf`,
-    built once per run over 0..K-1 with K = beta + 12*sqrt(beta) + 30 and
-    renormalized: the tail it leaves out is below ~1e-30. Each fill takes
+    built over 0..K-1 with K = beta + 12*sqrt(beta) + 30 and renormalized:
+    the tail it leaves out is below ~1e-30. The table of the last beta is
+    kept for the next run, so runs at one beta build it once. Each fill takes
     one uniform u: the integer part of K*u picks an entry and its fraction
     tosses the entry's coin, at a resolution of 2^-(53 - log2 K); most
     draws read that outcome from a cell of the table, bit for bit. Any other
@@ -552,11 +588,30 @@ _NO_SUMS = (0, 0.0, 0.0)
 
 
 def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
-    """Sums of y^2 (exact), y^3 and y^4 over y = v - shift, for int64 v."""
-    if not v.size:
+    """Sums of y^2 (exact), y^3 and y^4 over y = v - shift, for int64 v.
+
+    The y^3 and y^4 sums are float sums of the float powers. When n*top^4
+    is below 2^53, top the largest |y|, every power and every partial sum
+    is an exact integer in float, so the float sums are exact in any order.
+    If v is also non-negative with no entry above n, they are then taken
+    from one histogram of v, in int64. Otherwise they are taken entry by
+    entry."""
+    n = v.size
+    if not n:
         return _NO_SUMS
+    lo, hi = int(v.min()), int(v.max())
+    top = max(hi - shift, shift - lo)
+    if lo >= 0 and hi <= n and n * top**4 < _EXACT_SUM:
+        y = np.arange(-shift, hi + 1 - shift)
+        w = np.bincount(v)
+        w *= y
+        w *= y
+        s2 = int(w.sum())
+        w *= y
+        s3 = int(w.sum())
+        w *= y
+        return s2, float(s3), float(w.sum())
     y = v - shift
-    top = max(int(y.max()), -int(y.min()))
     yf = y.astype(float)
     if top > _X_FITS:
         s2 = _square_sum(y)

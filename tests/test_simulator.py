@@ -56,7 +56,9 @@ _THRESHOLD_CAP = _DENSE_BETA * (0.5 * 3.0 / REF_LAMBDA)
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The beta of every alias table the renewal engine builds, in order."""
+    """The beta of every alias table the renewal engine asks for, in order.
+    A table kept from an earlier call counts too, so these are lookups, not
+    builds."""
     built = []
 
     def spy(beta):
@@ -537,6 +539,91 @@ def test_sample_events_grows_its_log_past_the_bound(ref_point, monkeypatch):
         assert log.success.size == horizon - 1
 
 
+def _compare_and_argmax_fills(h_rng, beta, horizon, block):
+    """The fill chunks of _renewal_fills by the plain horizon rule: cap each
+    recharge at what is left plus one, take the running sum of the chunk,
+    compare it with what is left, take the first entry past it by argmax,
+    and only then add the slot of the last fill so far."""
+    size = _table_size(beta)
+    table = None
+    if beta >= _TABLE_BETA and size <= _CHUNK and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
+        table = _alias_table(beta)
+    pos = 0
+    while True:
+        left = horizon - pos
+        n = min(block, _CHUNK, simulator._fill_bound(left, beta))
+        s = h_rng.poisson(beta, n) if table is None else _alias_draws(h_rng, table, n)
+        s += 1
+        np.minimum(s, left + 1, out=s)
+        np.cumsum(s, out=s)
+        past = s > left
+        k = int(past.argmax())
+        s += pos
+        if past[k]:
+            if k:
+                yield s[:k]
+            return
+        yield s
+        pos = int(s[-1])
+
+
+def _fill_chunks(fills, beta, horizon, block, seed):
+    return [c.tolist() for c in fills(np.random.default_rng(seed), beta, horizon, block)]
+
+
+# (beta, span, fill indices): the horizons sit on, one slot before and one
+# slot after these fills of a span-slot run. At beta 1.456 every such
+# horizon takes the alias table and fill 3,499 ends the 500th 7-draw chunk;
+# beta 0.485 takes numpy's Poisson sampler and fill 6 ends the first 7-draw
+# chunk; fill _CHUNK - 1 ends the first _CHUNK-draw chunk. At beta 1e6 the
+# Poisson path caps the recharge that ends the run.
+_CUT_CASES = [
+    (1.456, 400_000, (3_499, _CHUNK - 1, 100_000)),
+    (0.485, 100_000, (6, 13, 1_000, _CHUNK - 1)),
+    (1e6, 30_000_000, (1, 6, 13)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 23])
+@pytest.mark.parametrize("beta, span, picks", _CUT_CASES)
+def test_horizon_cut_equals_compare_and_argmax(beta, span, picks, block):
+    fills = np.concatenate(list(_renewal_fills(np.random.default_rng(5), beta, span, 1 << 23)))
+    for i in picks:
+        if block < 1 << 23 and i >= _CHUNK - 1:
+            continue  # 65,536 fills in one- or seven-fill chunks take too long
+        for horizon in (int(fills[i]) - 1, int(fills[i]), int(fills[i]) + 1):
+            got = _fill_chunks(_renewal_fills, beta, horizon, block, seed=5)
+            assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, block, seed=5)
+            # the same draws, cut at the horizon
+            flat = [f for c in got for f in c]
+            assert flat == fills[fills <= horizon].tolist(), (beta, horizon, block)
+        # On a fill that ends a chunk, that chunk is cut after its last
+        # entry (k = n) and the next one before its first (k = 0).
+        got = _fill_chunks(_renewal_fills, beta, int(fills[i]), block, seed=5)
+        if block == 1 or (block == 7 and (i + 1) % 7 == 0) or i == _CHUNK - 1:
+            assert [len(c) for c in got] == [min(block, _CHUNK)] * ((i + 1) // min(block, _CHUNK))
+
+
+# Recharges of ~1e17 slots: the running sum of a chunk passes 2^63, and
+# wraps, after its first entry past a horizon near 2^62. Recharges of ~2^62
+# slots: in some runs the sum would pass 2^63 at that very entry, were the
+# recharges not capped.
+@pytest.mark.parametrize("block", [1, 7, 1 << 23])
+@pytest.mark.parametrize("beta", [1e17, 2.0**62])
+def test_horizon_cut_where_the_running_sum_wraps(beta, block):
+    horizon = _MAX_HORIZON - 1
+    first_past = []
+    for seed in range(40):
+        # the first chunk of an unbounded block, uncapped
+        draws = np.random.default_rng(seed).poisson(beta, simulator._fill_bound(horizon, beta))
+        sums = list(itertools.accumulate(d + 1 for d in draws.tolist()))
+        assert sums[-1] >= 2**63
+        first_past.append(next(s for s in sums if s > horizon))
+        got = _fill_chunks(_renewal_fills, beta, horizon, block, seed)
+        assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, block, seed)
+    assert (max(first_past) >= 2**63) == (beta == 2.0**62)
+
+
 def test_sampler_choice_rests_on_beta_and_horizon(ref_point, table_builds):
     # Runs at one beta and horizon that differ in seed, block and decode
     # threshold all build the table, or none does.
@@ -556,6 +643,35 @@ def test_sampler_choice_rests_on_beta_and_horizon(ref_point, table_builds):
         assert table_builds == ([beta] if builds else []), beta
 
 
+def test_alias_table_is_kept_for_the_last_beta(ref_point, monkeypatch):
+    # Every build starts with the recharge PMF, so its calls count builds.
+    builds = []
+    recharge_pmf = simulator.recharge_pmf
+
+    def spy(beta, k):
+        builds.append(beta)
+        return recharge_pmf(beta, k)
+
+    monkeypatch.setattr(simulator, "recharge_pmf", spy)
+    _alias_table.cache_clear()
+    params = ref_point(power_w=300.0)
+    beta = derive(params).beta
+    for seed in (1, 2):
+        sample_events(SimConfig(params, 100_000, seed))
+    assert builds == [beta]
+    # every caller gets the same arrays, which no caller can change
+    table = _alias_table(beta)
+    assert all(a is b for a, b in zip(table, _alias_table(beta)))
+    for a in table:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    # a new beta takes the place of the last one
+    other = derive(ref_point()).beta
+    _alias_table(other)
+    _alias_table(beta)
+    assert builds == [beta, other, beta]
+
+
 @pytest.mark.parametrize("warmup", list(Warmup))
 def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmup, table_builds):
     # beta 145.6 over 1e7 slots: ~68k fills, over _TABLE_FILLS per entry of
@@ -571,6 +687,20 @@ def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmu
 def test_simulate_reduces_renewal_events(ref_point):
     config = SimConfig(ref_point(), 200_000, seed=31)
     assert simulate(config) == summarize(sample_events(config), config.warmup)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulate_reduces_renewal_events_at_high_power(ref_point, seed):
+    # beta 1.456 over 1e6 slots: ~407k fills of the 45-entry table in seven
+    # chunks, or in ~400 at block 997. Every power sum here is an integer
+    # below 2**53, so even the float sums behind the half-width are exact
+    # in any order.
+    for warmup in Warmup:
+        config = SimConfig(ref_point(power_w=300.0), 1_000_000, seed=seed, warmup=warmup)
+        expected = summarize(sample_events(config), warmup)
+        assert expected.n_recharges > 6 * _CHUNK
+        assert simulate(config) == expected
+        assert simulate(config, block=997) == expected
 
 
 def _measured_cycles(log, warmup):
@@ -607,17 +737,48 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
 
 
-@pytest.mark.parametrize("top", [30, 2**26, _X_FITS, _X_FITS + 1, 2**40])
-def test_power_sums_equal_the_plain_form(top):
+def _power_sum_cases():
+    """pytest.param(v, shift, whether _power_sums takes its histogram path)."""
+    cases = []
+    for top in (30, 2**26, _X_FITS, _X_FITS + 1, 2**40):
+        v = np.random.default_rng(top % 997).integers(0, top, 20_000) + top // 3
+        cases.append(pytest.param(v, int(v[0]), top == 30, id=str(top)))
+    rng = np.random.default_rng(11)
+    # n * top^4 on either side of 2^53, top the largest |y|
+    v = rng.integers(0, 11, 10_000)
+    assert v.size * 974**4 < 2**53 < v.size * 975**4
+    cases.append(pytest.param(v, 974, True, id="below_2**53"))
+    cases.append(pytest.param(v, 975, False, id="above_2**53"))
+    # the largest value at and one past the count
+    v = rng.integers(0, 1_000, 1_000)
+    cases.append(pytest.param(np.append(v[1:], 1_000), int(v[1]), True, id="top_n"))
+    cases.append(pytest.param(np.append(v[1:], 1_001), int(v[1]), False, id="top_n_plus_1"))
+    # shifts outside [min(v), max(v)], and negative v
+    v = rng.integers(5, 51, 2_000)
+    cases.append(pytest.param(v, -7, True, id="shift_below_min"))
+    cases.append(pytest.param(v, 80, True, id="shift_above_max"))
+    cases.append(pytest.param(v - 10, int(v[0]), False, id="negative"))
+    cases.append(pytest.param(np.array([1]), 1, True, id="single_1"))
+    cases.append(pytest.param(np.array([7]), 3, False, id="single_7"))
+    return cases
+
+
+@pytest.mark.parametrize("v, shift, histogram", _power_sum_cases())
+def test_power_sums_equal_the_plain_form(v, shift, histogram, monkeypatch):
     # Below _X_FITS the float y^2 comes from the exact int64 square, which
-    # rounds to yf * yf; above it the squares are exact Python ints.
-    v = np.random.default_rng(top % 997).integers(0, top, 20_000) + top // 3
-    shift = int(v[0])
+    # rounds to yf * yf; above it the squares are exact Python ints. The
+    # histogram path must give the float sums of the powers bit for bit.
     y = [int(a) - shift for a in v.tolist()]
     yf = v.astype(float) - float(shift)
     assert yf.tolist() == [float(a) for a in y]
     plain = (sum(a * a for a in y), float((yf * yf * yf).sum()), float(((yf * yf) * (yf * yf)).sum()))
-    assert _power_sums(v, shift) == plain
+    histograms = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda w: histograms.append(w.size) or bincount(w))
+    sums = _power_sums(v, shift)
+    assert sums == plain
+    assert [type(a) for a in sums] == [int, float, float]
+    assert histograms == ([v.size] if histogram else [])
 
 
 @pytest.mark.parametrize("warmup", list(Warmup))
