@@ -17,7 +17,6 @@ from .analytics import (
     mean_peak_area,
     recharge_moments,
     recharge_pmf,
-    truncation_k_max,
 )
 from .experiments import (
     CSV_HEADER,
@@ -40,7 +39,6 @@ from .model import (
     channel_rate_from_distance,
     dbm_to_watts,
     derive,
-    watts_to_dbm,
 )
 from .optimizer import OptResult, optimize_capacitor, optimize_capacitors
 from .simulator import (
@@ -51,7 +49,6 @@ from .simulator import (
     Warmup,
     batch_ci,
     sample_events,
-    sample_slot_events,
     simulate,
     summarize,
     trace_rows,
@@ -95,14 +92,11 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "sample_events",
-    "sample_slot_events",
     "simulate",
     "summarize",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",
     "trace_rows",
-    "truncation_k_max",
     "validation_report",
-    "watts_to_dbm",
     "write_trace",
 ]

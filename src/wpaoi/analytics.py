@@ -27,7 +27,6 @@ from scipy.special import gammaln, xlogy
 __all__ = [
     "AnalyticReport",
     "recharge_pmf",
-    "truncation_k_max",
     "recharge_moments",
     "interarrival_moments",
     "mean_peak_area",
@@ -167,20 +166,32 @@ def recharge_pmf(beta: float, k):
     return p
 
 
-def truncation_k_max(beta: float) -> int:
-    """Support cutoff beyond which the recharge PMF tail is below 1e-12.
-
-    Returns ceil(beta + 50*sqrt(beta) + 50). Fifty standard deviations past
-    the mean leaves a tail many orders below the 1e-12 normalization budget.
-    """
-    if beta < 0.0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    return int(math.ceil(beta + 50.0 * math.sqrt(beta) + 50.0))
-
-
 def _moments(beta):
     """E[T] and E[T^2] of the recharge time, on floats or arrays, unchecked."""
     return 1.0 + beta, 1.0 + 3.0 * beta + beta * beta
+
+
+def _x_moments(e_t, e_t2, p):
+    """E[X] and E[X^2] from the recharge moments, on floats or arrays,
+    unchecked; the square of a float p must not underflow to zero."""
+    return e_t / p, e_t2 / p + 2.0 * e_t * e_t * (1.0 - p) / (p * p)
+
+
+def _x2_overflows(beta, pi):
+    """Where E[X^2] at (beta, pi) overflows a float, on floats or arrays.
+
+    E[X^2] grows as 2*E[T]^2/pi^2 when pi is small, so it overflows at pi
+    = 0 and where a subnormal pi makes 1/pi^2 overflow. There no
+    interarrival moment is a float, and :func:`~wpaoi.model.derive`
+    refuses the point.
+    """
+    if isinstance(pi, float):
+        # Python floats overflow to inf without a warning, and a pi whose
+        # square underflows to zero overflows E[X^2].
+        return pi * pi == 0.0 or _x_moments(*_moments(float(beta)), float(pi))[1] == math.inf
+    with np.errstate(all="ignore"):
+        _, e_x2 = _x_moments(*_moments(np.asarray(beta, dtype=float)), np.asarray(pi, dtype=float))
+    return e_x2 == math.inf
 
 
 def _age(e_t, e_t2, pi):
@@ -219,9 +230,7 @@ def interarrival_moments(beta, pi):
     """
     e_t, e_t2 = recharge_moments(beta)
     _check_pi(pi)
-    p = np.asarray(pi, dtype=float)
-    e_x = e_t / p
-    e_x2 = e_t2 / p + 2.0 * e_t * e_t * (1.0 - p) / (p * p)
+    e_x, e_x2 = _x_moments(e_t, e_t2, np.asarray(pi, dtype=float))
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
         return float(e_x), float(e_x2)
     return e_x, e_x2

@@ -9,8 +9,9 @@ Subcommands:
 * ``sweep-p``: minimum age versus transmit power table.
 * ``validate``: closed forms against simulation with pass/fail verdicts.
 
-Exit codes: 0 on success, 2 on a usage error, 3 on a domain error (invalid
-parameter values), 4 when a simulation decodes too few updates to measure.
+Exit codes: 0 on success, 2 on a usage error or an output file (``--out``,
+``--trace``) that cannot be written, 3 on a domain error (invalid parameter
+values), 4 when a simulation decodes too few updates to measure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .simulator import (
     NoSuccessError,
     SimConfig,
     Warmup,
-    sample_slot_events,
     simulate,
     summarize,
     write_trace,
@@ -127,10 +127,9 @@ def _cmd_simulate(args) -> int:
     if args.trace is None:
         stats = simulate(config)
     else:
-        # The statistics describe the realization in the trace file, which
-        # only the slot engine reproduces.
-        write_trace(config, args.trace)
-        stats = summarize(sample_slot_events(config), config.warmup)
+        # The statistics describe the realization in the trace file: the
+        # events come from the rows as they are written.
+        stats = summarize(write_trace(config, args.trace), config.warmup)
     d = derive(params)
     payload = {
         "beta": d.beta,
@@ -217,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", choices=("window", "full"), default="window",
                    help="measure between first and last decoded update, or over the full horizon")
     p.add_argument("--trace", default=None,
-                   help="also write a per-slot CSV trace here and take the statistics from "
-                   "the traced run (slow; use short horizons)")
+                   help="run the slot dynamics slot by slot, write their per-slot CSV trace "
+                   "here and take the statistics from it (slow; use short horizons)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optimize", help="find the age-minimizing capacitor size")
@@ -272,6 +271,11 @@ def run_cli(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # Only opening or writing --out or --trace raises it; argparse also
+        # exits 2 on a file it cannot open.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .analytics import analytic_report, average_aoi
+from .analytics import _x2_overflows, analytic_report, average_aoi
 from .model import SystemParams, beta_pi, derive
 from .optimizer import optimize_capacitors
 from .simulator import NoSuccessError, SimConfig, Warmup, _cycle_sums, sample_events, simulate
@@ -104,15 +104,16 @@ def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
     The closed forms of all sizes come from one broadcast evaluation of
     :func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`,
     equal bit for bit to evaluating each size alone. A size whose success
-    probability underflows, or whose E[T^2] overflows, raises the ValueError
-    of :func:`~wpaoi.model.derive`. A sweep point whose simulation produces no
-    decoded update is flagged in the row rather than aborting the sweep.
+    probability underflows, or whose E[T^2] or E[X^2] overflows, raises the
+    ValueError of :func:`~wpaoi.model.derive`. A sweep point whose
+    simulation produces no decoded update is flagged in the row rather than
+    aborting the sweep.
     """
     if spec.swept_field != "capacitor_j":
         raise ValueError(f"expected a capacitor_j sweep, got {spec.swept_field!r}")
     beta, pi = beta_pi(spec.base, np.array(spec.values))
     with np.errstate(over="ignore"):
-        refused = (pi == 0.0) | (beta * beta == math.inf)
+        refused = (beta * beta == math.inf) | _x2_overflows(beta, pi)
     if refused.any():
         # derive raises its error at the first such size
         derive(replace(spec.base, capacitor_j=spec.values[int(refused.argmax())]))

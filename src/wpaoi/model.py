@@ -7,7 +7,7 @@ computed here from the physical scenario:
 * ``pi``, the per-attempt decode success probability under Rayleigh fading.
 
 All internal computation uses linear SI units (watts and joules). dBm appears
-only at interface boundaries via the conversion helpers. The slot duration is
+only at interface boundaries via :func:`dbm_to_watts`. The slot duration is
 normalized to one time unit, so energy in joules and power in watts coincide
 numerically.
 """
@@ -19,11 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .analytics import _x2_overflows
+
 __all__ = [
     "SystemParams",
     "DerivedParams",
     "dbm_to_watts",
-    "watts_to_dbm",
     "channel_rate_from_distance",
     "beta_pi",
     "derive",
@@ -37,13 +38,6 @@ def dbm_to_watts(x_dbm: float) -> float:
         return 10.0 ** ((x_dbm - 30.0) / 10.0)
     except OverflowError:
         return math.inf
-
-
-def watts_to_dbm(x_w: float) -> float:
-    """Convert watts to dBm. Inverse of :func:`dbm_to_watts`."""
-    if x_w <= 0.0:
-        raise ValueError(f"power must be positive, got {x_w}")
-    return 10.0 * math.log10(x_w) + 30.0
 
 
 def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> float:
@@ -210,8 +204,9 @@ def derive(params: SystemParams) -> DerivedParams:
     """Compute (beta, pi) for a physical operating point.
 
     Raises ValueError if the success probability underflows to zero, where
-    the decode threshold is astronomically unlikely to be met, or if beta is
-    so large that E[T^2] overflows: no downstream quantity is meaningful.
+    the decode threshold is astronomically unlikely to be met, if beta is so
+    large that E[T^2] overflows, or if pi is so small that E[X^2] does: no
+    downstream quantity is meaningful.
     """
     beta, pi = beta_pi(params, params.capacitor_j)
     if pi <= 0.0:
@@ -220,6 +215,8 @@ def derive(params: SystemParams) -> DerivedParams:
         )
     if beta * beta == math.inf:
         raise ValueError(f"E[T^2] overflows a float at beta {beta!r}")
+    if _x2_overflows(beta, pi):
+        raise ValueError(f"E[X^2] overflows a float at pi {pi!r}")
     return DerivedParams(beta=beta, pi=pi)
 
 

@@ -8,7 +8,7 @@ decoded when the information channel draw clears the spectral-efficiency
 threshold; a decoded update resets the receiver-side age to one, otherwise
 the age keeps growing.
 
-Three execution paths sample this system:
+Two execution paths sample this system:
 
 * :func:`sample_events`, the default engine behind :func:`simulate`, draws
   one recharge time per update. The harvest is a Poisson process in energy
@@ -20,22 +20,23 @@ Three execution paths sample this system:
   last beta is kept, so runs at one operating point build it once. The
   fill slots of a chunk of draws are one running sum, cut at the horizon
   by one binary search on the table path.
-* :func:`sample_slot_events` runs the slot dynamics themselves, a block at a
-  time, and finds fills by binary search in cumulative harvest sums. It is
-  the reference for the renewal claim above and backs the ``--trace`` path.
-* :func:`trace_rows`, a plain per-slot loop, also exposes the harvested
-  energy, capacitor level, transmit flag, decode outcome and age of every
-  slot. It is the debugging trace writer.
+* :func:`trace_rows`, a plain per-slot loop, runs the slot dynamics
+  themselves and exposes the harvested energy, capacitor level, transmit
+  flag, decode outcome and age of every slot. :func:`write_trace` writes
+  them and returns the run's event log, which backs the ``--trace`` path.
 
-The slot paths consume the same two random substreams in the same order (one
-draw from the harvest stream per slot, one draw from the decode stream per
-transmit slot), so they agree bit for bit for a given seed. The renewal
-engine reads the harvest stream differently, so it describes another
-realization of the same process; the tests tie it to the slot engine by the
-distributions of recharge and interarrival times. Both event engines
-decode an attempt when its draw from the decode stream reaches a cut found
-once per run; that gives, bit for bit, the outcomes of computing the
-channel gain of every attempt, as :func:`trace_rows` does.
+The tests hold a vectorized copy of the slot dynamics,
+``tests/reference_slots.py``, which finds fills by binary search in
+cumulative harvest sums a block at a time. It consumes the two random
+substreams as :func:`trace_rows` does (one draw from the harvest stream per
+slot, one draw from the decode stream per transmit slot), so the two agree
+bit for bit for a given seed. The renewal engine reads the harvest stream
+differently, so it describes another realization of the same process; the
+tests tie it to the slot dynamics by the distributions of recharge and
+interarrival times. The renewal engine decodes an attempt when its draw
+from the decode stream reaches a cut found once per run; that gives, bit
+for bit, the outcomes of computing the channel gain of every attempt, as
+:func:`trace_rows` does.
 
 The statistics come from one streaming reduction. The average age is a
 renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X], so a
@@ -73,7 +74,6 @@ __all__ = [
     "EventLog",
     "NoSuccessError",
     "sample_events",
-    "sample_slot_events",
     "summarize",
     "simulate",
     "batch_ci",
@@ -99,13 +99,6 @@ _EXACT_SUM = 1 << 53
 # Largest mean numpy's Poisson sampler accepts (its own limit, int64 max less
 # ten standard deviations); above it the first fill lies past ~9.2e18 slots.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-
-# Fill-search crossover in beta, the mean number of extra slots per recharge.
-# Above it one binary search per fill is cheaper; at or below it one search
-# over all slots plus a pointer chase is. Timed both ways with numpy 2.4.6 on
-# 2 vCPUs: they break even near beta 21 on 2^23-slot runs and near beta 26 on
-# 1e6-slot runs, and either choice costs at most ~10% between 18 and 30.
-_DENSE_BETA = 24.0
 
 # The renewal engine draws recharge times from an alias table when beta is at
 # least _TABLE_BETA and the run expects at least _TABLE_FILLS fills per table
@@ -436,7 +429,7 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     results.
 
     Decode outcomes are drawn from a second substream, one draw per attempt,
-    in fill order, as in :func:`sample_slot_events`. A beta above numpy's
+    in fill order, as :func:`trace_rows` reads them. A beta above numpy's
     Poisson limit (~9.2e18) puts the first fill beyond any horizon, so the
     run has no fill. The log is written in place into arrays allocated at
     the bound the chunks are sized by, 12 standard deviations past the
@@ -456,77 +449,6 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
         n += f.size
         a += s.size
     return EventLog(fills[:n], success[:a], config.horizon_slots)
-
-
-def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
-    """Run the slot dynamics and return the fill slots and decode outcomes.
-
-    This is the reference engine: it draws one harvest per slot, exactly as
-    :func:`trace_rows` does, and returns the same events bit for bit. It
-    backs the renewal claim of :func:`sample_events` in the tests and the
-    ``--trace`` path of the command line.
-
-    The capacitor level after slot k is ``min(level + eta*P*h_k, B)`` with the
-    level forced to zero at the start of a transmit slot, so between fills the
-    raw harvested energy accumulates unclipped and a fill happens at the first
-    slot where the running sum reaches the outstanding deficit. That turns the
-    whole harvest process into one cumulative sum per block of ``block``
-    slots, with the partial deficit carried across block boundaries.
-
-    Fills are found by binary search in that sum, one of two ways picked by
-    beta = B / (eta*P/lambda). When fills are sparse (beta above
-    ``_DENSE_BETA``) each fill searches for the next one. When they are dense,
-    one vectorized search gives every slot its next fill and a pointer chase
-    follows it from fill to fill. Both give the same slots.
-
-    Decode outcomes are drawn from a second substream, one draw per attempt,
-    in fill order. ``block`` only affects memory use, not the results.
-    """
-    p = config.params
-    horizon = config.horizon_slots
-    scale = p.efficiency * p.power_w / p.channel_rate
-    cap = p.capacitor_j
-    h_rng, g_rng = _spawn_streams(config.seed)
-
-    sparse = cap > _DENSE_BETA * scale
-    fills: list[int] = []
-    pos = 0
-    deficit = cap
-    while pos < horizon:
-        n = min(block, horizon - pos)
-        # s = cumsum(-log1p(-u) * scale), built in one buffer; moving the
-        # sign into the factor is exact, so the bits match the plain form
-        s = h_rng.random(n)
-        np.negative(s, out=s)
-        np.log1p(s, out=s)
-        s *= -scale
-        np.cumsum(s, out=s)
-        f = int(s.searchsorted(deficit))
-        last = -1
-        # The fill after f is the first slot whose sum reaches s[f] + cap,
-        # and at least f + 1: once cap drops below half an ulp of s[f] the
-        # sum no longer moves, and every slot fills.
-        if sparse:
-            while f < n:
-                fills.append(pos + f + 1)
-                last = f
-                f = max(f + 1, int(s.searchsorted(s[f] + cap)))
-        else:
-            nxt = s.searchsorted(s + cap)
-            np.maximum(nxt, np.arange(1, n + 1), out=nxt)
-            chase = memoryview(nxt)
-            while f < n:
-                fills.append(pos + f + 1)
-                last = f
-                f = chase[f]
-        if last >= 0:
-            deficit = cap - (float(s[n - 1]) - float(s[last]))
-        else:
-            deficit -= float(s[n - 1])
-        pos += n
-
-    fill_slots = np.asarray(fills, dtype=np.int64)
-    return EventLog(fill_slots, _decodes(_decode_cut(p), g_rng, fill_slots, horizon), horizon)
 
 
 def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
@@ -876,11 +798,11 @@ def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
 def trace_rows(config: SimConfig):
     """Yield one (slot, harvest_j, energy_j, transmitted, success, age) per slot.
 
-    Plain per-slot reference dynamics. Consumes the random substreams in
-    exactly the same order as :func:`sample_slot_events`, so the two paths
-    describe the same realization for the same seed. The age starts at 1
-    before the first slot and resets to 1 on the slot of each decoded
-    update.
+    The slot dynamics themselves, one plain loop iteration per slot: one
+    draw from the harvest substream per slot and one from the decode
+    substream per transmit slot. A row whose energy reaches B is a fill,
+    and the next slot transmits. The age starts at 1 before the first slot
+    and resets to 1 on the slot of each decoded update.
     """
     p = config.params
     h_rng, g_rng = _spawn_streams(config.seed)
@@ -905,8 +827,16 @@ def trace_rows(config: SimConfig):
         yield slot, harvested, level, transmitted, success, age
 
 
-def write_trace(config: SimConfig, path) -> None:
-    """Write the per-slot trace as CSV. Meant for short debugging horizons."""
+def write_trace(config: SimConfig, path) -> EventLog:
+    """Write the per-slot trace as CSV and return the run's event log.
+
+    The log holds the slots whose energy reaches B, the fills, and the
+    decode outcome of every transmit slot, gathered as the rows are
+    written, so the statistics of a traced run need no second pass over the
+    slot dynamics. Meant for short debugging horizons.
+    """
+    cap = config.params.capacitor_j
+    fills, outcomes = [], []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "harvest_j", "energy_j", "transmitted", "success", "age"])
@@ -914,3 +844,10 @@ def write_trace(config: SimConfig, path) -> None:
             writer.writerow(
                 [slot, repr(harvested), repr(level), int(transmitted), int(success), age]
             )
+            if transmitted:
+                outcomes.append(success)
+            if level == cap:
+                fills.append(slot)
+    return EventLog(
+        np.asarray(fills, dtype=np.int64), np.asarray(outcomes, dtype=bool), config.horizon_slots
+    )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wpaoi import SystemParams
@@ -5,6 +7,17 @@ from wpaoi import SystemParams
 # Channel gain rate of the reference scenario: 1e3 * 20**2.2, frozen from a
 # high-precision evaluation so tests do not depend on the platform's pow.
 REF_LAMBDA = 728225.68121043211
+
+
+def truncation_k_max(beta: float) -> int:
+    """Support cutoff beyond which the recharge PMF tail is below 1e-12.
+
+    Returns ceil(beta + 50*sqrt(beta) + 50). Fifty standard deviations past
+    the mean leaves a tail many orders below the 1e-12 normalization budget.
+    """
+    if beta < 0.0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    return int(math.ceil(beta + 50.0 * math.sqrt(beta) + 50.0))
 
 
 @pytest.fixture

@@ -26,15 +26,14 @@ from wpaoi import (
     recharge_moments,
     recharge_pmf,
     sample_events,
-    sample_slot_events,
     simulate,
     summarize,
     trace_rows,
-    truncation_k_max,
 )
 
-from conftest import REF_LAMBDA
+from conftest import REF_LAMBDA, truncation_k_max
 from reference_cycles import empirical_aoi, extract_cycles
+from reference_slots import sample_slot_events
 
 
 @contextmanager

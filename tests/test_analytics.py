@@ -17,8 +17,9 @@ from wpaoi import (
     mean_peak_area,
     recharge_moments,
     recharge_pmf,
-    truncation_k_max,
 )
+
+from conftest import truncation_k_max
 
 # Dyadic grid for exactness-sensitive draws: multiples of 1/512 carry at most
 # 26 significant bits, so squares and small integer combinations of them are

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wpaoi
+import wpaoi.simulator as simulator
 from wpaoi import SimConfig, build_params, dbm_to_watts, sample_events
 from wpaoi.cli import run_cli
 
@@ -175,6 +176,60 @@ def test_simulate_trace_statistics_describe_the_trace(tmp_path, capsys):
     ages = [int(r["age"]) for r in rows if first <= int(r["slot"]) < last]
     assert payload["n_slots_measured"] == len(ages)
     assert payload["delta_hat"] == sum(ages) / len(ages)
+
+
+def test_simulate_trace_runs_the_slot_dynamics_once(tmp_path, capsys, monkeypatch):
+    # Every walk of the slot dynamics seeds its own two substreams.
+    calls = []
+    spawn = simulator._spawn_streams
+
+    def spy(seed):
+        calls.append(seed)
+        return spawn(seed)
+
+    monkeypatch.setattr(simulator, "_spawn_streams", spy)
+    argv = ["simulate", "--power-w", "300", "--capacitor-j", "3e-4", "--horizon", "5000",
+            "--seed", "6", "--trace", str(tmp_path / "trace.csv")]
+    assert run_cli(argv) == 0
+    assert calls == [6]
+    assert json.loads(capsys.readouterr().out)["n_successes"] > 100
+
+
+# pi 2.3e-317, beta 123.6: E[X^2] ~ 2*E[T]^2/pi^2 overflows a float
+_SUBNORMAL_PI = ["--power-w", "0.3530899919196604", "--rate-bpcu", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", *_SUBNORMAL_PI, "--capacitor-j", "2.9964251964083542e-05"],
+        ["validate", *_SUBNORMAL_PI, "--capacitor-j", "2.9964251964083542e-05"],
+        ["sweep-b", *_SUBNORMAL_PI, "--b-values", "2.9964251964083542e-05,1e-4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subnormal_pi_is_domain_error(capsys, argv):
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: E[X^2] overflows") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--power-w", "3", "--capacitor-j", "3e-4", "--out"],
+        ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "100", "--trace"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert run_cli([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err and not path.parent.exists()
 
 
 def test_lambda_overrides_distance_with_warning(capsys):

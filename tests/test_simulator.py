@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import REF_LAMBDA
 from reference_cycles import empirical_aoi, extract_cycles
+from reference_slots import _DENSE_BETA, sample_slot_events
 from scipy.stats import chi2
 
 import wpaoi.simulator as simulator
@@ -23,7 +24,6 @@ from wpaoi import (
     derive,
     recharge_pmf,
     sample_events,
-    sample_slot_events,
     simulate,
     summarize,
     trace_rows,
@@ -31,7 +31,6 @@ from wpaoi import (
 )
 from wpaoi.simulator import (
     _CHUNK,
-    _DENSE_BETA,
     _GRID,
     _MAX_HORIZON,
     _POISSON_LAM_MAX,
@@ -67,18 +66,6 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(simulator, "_alias_table", spy)
     return built
-
-
-def _trace_events(config):
-    """Recover fill slots and decode outcomes from the per-slot trace."""
-    cap = config.params.capacitor_j
-    fills, outcomes = [], []
-    for slot, _harvest, level, transmitted, success, _age in trace_rows(config):
-        if transmitted:
-            outcomes.append(success)
-        if level == cap:
-            fills.append(slot)
-    return np.asarray(fills, dtype=np.int64), np.asarray(outcomes, dtype=bool)
 
 
 # --- event extraction -------------------------------------------------------
@@ -243,30 +230,30 @@ def test_batch_ci_rejects_short_input():
         pytest.param(math.nextafter(_THRESHOLD_CAP, math.inf), id="sparse_above_threshold"),
     ],
 )
-def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j):
+def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j, tmp_path):
     config = SimConfig(ref_point(capacitor_j=capacitor_j), 50_000, seed=2024)
     log = sample_slot_events(config)
-    fills, outcomes = _trace_events(config)
-    assert np.array_equal(fills, log.fill_slots)
-    assert np.array_equal(outcomes, log.success)
+    traced = write_trace(config, tmp_path / "trace.csv")
+    assert np.array_equal(traced.fill_slots, log.fill_slots)
+    assert np.array_equal(traced.success, log.success)
 
 
-def test_vectorized_path_matches_per_slot_path_toy(toy_point):
+def test_vectorized_path_matches_per_slot_path_toy(toy_point, tmp_path):
     config = SimConfig(toy_point, 20_000, seed=5)
     log = sample_slot_events(config)
-    fills, outcomes = _trace_events(config)
-    assert np.array_equal(fills, log.fill_slots)
-    assert np.array_equal(outcomes, log.success)
+    traced = write_trace(config, tmp_path / "trace.csv")
+    assert np.array_equal(traced.fill_slots, log.fill_slots)
+    assert np.array_equal(traced.success, log.success)
     assert bool(np.all(log.success))
 
 
-def test_vectorized_path_matches_per_slot_path_dense(ref_point):
+def test_vectorized_path_matches_per_slot_path_dense(ref_point, tmp_path):
     # beta 1.456, so the dense fill search runs
     config = SimConfig(ref_point(power_w=300.0), 50_000, seed=2024)
     log = sample_slot_events(config)
-    fills, outcomes = _trace_events(config)
-    assert np.array_equal(fills, log.fill_slots)
-    assert np.array_equal(outcomes, log.success)
+    traced = write_trace(config, tmp_path / "trace.csv")
+    assert np.array_equal(traced.fill_slots, log.fill_slots)
+    assert np.array_equal(traced.success, log.success)
 
 
 # --- decode cut ---------------------------------------------------------------
