@@ -173,8 +173,19 @@ def _moments(beta):
 
 def _x_moments(e_t, e_t2, p):
     """E[X] and E[X^2] from the recharge moments, on floats or arrays,
-    unchecked; the square of a float p must not underflow to zero."""
-    return e_t / p, e_t2 / p + 2.0 * e_t * e_t * (1.0 - p) / (p * p)
+    unchecked; the square of a float p must not underflow to zero.
+
+    The second term of E[X^2] is left out where p is one: it is exactly
+    zero there wherever it is finite, and 2*E[T]^2 may overflow, which
+    would make it inf * 0."""
+    q = 1.0 - p
+    if isinstance(p, float):
+        spread = 2.0 * e_t * e_t * q if q else 0.0
+    else:
+        spread = np.zeros(np.broadcast(e_t, q).shape)
+        np.multiply(2.0 * e_t, e_t, out=spread, where=q != 0.0)
+        spread *= q
+    return e_t / p, e_t2 / p + spread / (p * p)
 
 
 def _x2_overflows(beta, pi):

@@ -124,13 +124,14 @@ def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     warmup = Warmup.FULL_HORIZON if args.warmup == "full" else Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
     config = SimConfig(params, args.horizon, args.seed, warmup=warmup)
+    # A point derive refuses is refused before any slot is drawn.
+    d = derive(params)
     if args.trace is None:
         stats = simulate(config)
     else:
         # The statistics describe the realization in the trace file: the
         # events come from the rows as they are written.
         stats = summarize(write_trace(config, args.trace), config.warmup)
-    d = derive(params)
     payload = {
         "beta": d.beta,
         "pi": d.pi,

@@ -17,9 +17,10 @@ Two execution paths sample this system:
   a long enough run at beta of at least 1 draws them from a Walker alias
   table of the recharge law, one uniform and mostly one cell lookup per
   fill, and any other run with numpy's Poisson sampler. The table of the
-  last beta is kept, so runs at one operating point build it once. The
-  fill slots of a chunk of draws are one running sum, cut at the horizon
-  by one binary search on the table path.
+  last beta and the decode cut of the last operating point are kept, so
+  runs at one operating point find them once. The fill slots of a chunk of
+  draws are one running sum, cut at the horizon by one binary search on
+  the table path.
 * :func:`trace_rows`, a plain per-slot loop, runs the slot dynamics
   themselves and exposes the harvested energy, capacitor level, transmit
   flag, decode outcome and age of every slot. :func:`write_trace` writes
@@ -34,9 +35,9 @@ bit for bit for a given seed. The renewal engine reads the harvest stream
 differently, so it describes another realization of the same process; the
 tests tie it to the slot dynamics by the distributions of recharge and
 interarrival times. The renewal engine decodes an attempt when its draw
-from the decode stream reaches a cut found once per run; that gives, bit
-for bit, the outcomes of computing the channel gain of every attempt, as
-:func:`trace_rows` does.
+from the decode stream reaches a cut found once per operating point; that
+gives, bit for bit, the outcomes of computing the channel gain of every
+attempt, as :func:`trace_rows` does.
 
 The statistics come from one streaming reduction. The average age is a
 renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X], so a
@@ -44,13 +45,13 @@ run needs running sums over its cycles, not its event log: the reduction
 takes the fills a chunk at a time, carries the open cycle and the
 measurement window across chunk edges, and keeps the cycle count and the
 power sums of the recharge and interarrival times, taken about the first
-one of each so that they do not cancel. Where a chunk's times are few
-distinct small integers and its sums stay below 2^53, the sums come
-exactly from one histogram of the times, bit for bit what the float sums
-give.
-:func:`simulate` feeds it
-straight from the sampler, so its memory stays bounded however long the
-horizon; :func:`summarize` feeds it a given log.
+one of each so that they do not cancel. Wherever the exact sum of the
+fourth powers stays below 2^53, so do all float partial sums, and the sums
+are taken in int64, bit for bit what the float sums give: from one
+histogram when the times are few distinct small integers, and entry by
+entry otherwise. :func:`simulate` feeds the reduction straight from the
+sampler, so its memory stays bounded however long the horizon;
+:func:`summarize` feeds it a given log.
 """
 
 from __future__ import annotations
@@ -222,16 +223,21 @@ def _threshold(p: SystemParams) -> float:
     return (2.0**p.rate_bpcu - 1.0 if p.rate_bpcu < 1024.0 else math.inf) * p.noise_w / p.capacitor_j
 
 
+@functools.lru_cache(maxsize=1)
 def _decode_cut(p: SystemParams) -> float:
     """The smallest draw of ``random()`` whose attempt decodes, or 1.0 if none does.
 
     An attempt with draw u decodes when its channel gain -log1p(-u)/lambda
     reaches the threshold (2^r - 1)*sigma^2/B. The gain does not fall as u
     grows, so the draws that decode are those from one point of the 2^-53
-    grid on. That point is found once per run, testing grid points with the
-    very float operations that give the gain: -expm1(-lambda*threshold)
-    lands within a few points of it, and bisection takes over when it does
-    not. An attempt then decodes exactly when its draw reaches the cut.
+    grid on. That point is found once per operating point, testing grid
+    points with the very float operations that give the gain:
+    -expm1(-lambda*threshold) lands within a few points of it, and bisection
+    takes over when it does not. An attempt then decodes exactly when its
+    draw reaches the cut.
+
+    The cut of the last operating point is kept, so runs at one point find
+    it once per process.
     """
     threshold = _threshold(p)
 
@@ -512,28 +518,40 @@ _NO_SUMS = (0, 0.0, 0.0)
 def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
     """Sums of y^2 (exact), y^3 and y^4 over y = v - shift, for int64 v.
 
-    The y^3 and y^4 sums are float sums of the float powers. When n*top^4
-    is below 2^53, top the largest |y|, every power and every partial sum
-    is an exact integer in float, so the float sums are exact in any order.
-    If v is also non-negative with no entry above n, they are then taken
-    from one histogram of v, in int64. Otherwise they are taken entry by
-    entry."""
+    The y^3 and y^4 sums are float sums of the float powers. For integers
+    |y|^3 <= y^4, so when the exact sum of y^4 is below 2^53, every power
+    and every partial sum, in any order, is an exact integer in float, and
+    the float sums are the exact ones. Those are taken exactly in int64
+    wherever n*top^4, top the largest |y|, cannot wrap it, from one
+    histogram of v if v is non-negative with no entry above n and entry by
+    entry if not. Any sums whose y^4 sum reaches 2^53 are taken entry by
+    entry in float.
+    """
     n = v.size
     if not n:
         return _NO_SUMS
     lo, hi = int(v.min()), int(v.max())
     top = max(hi - shift, shift - lo)
-    if lo >= 0 and hi <= n and n * top**4 < _EXACT_SUM:
-        y = np.arange(-shift, hi + 1 - shift)
-        w = np.bincount(v)
-        w *= y
-        w *= y
-        s2 = int(w.sum())
-        w *= y
-        s3 = int(w.sum())
-        w *= y
-        return s2, float(s3), float(w.sum())
-    y = v - shift
+    if n * top**4 <= _INT64_MAX:
+        if lo >= 0 and hi <= n:
+            # w[i] counts the samples of value i, y = i - shift
+            y, w = np.arange(-shift, hi + 1 - shift), np.bincount(v)
+            w *= y
+        else:
+            y = v - shift
+            w = y.copy()
+        sums = []
+        for _ in range(3):
+            w *= y
+            sums.append(int(w.sum()))
+        if sums[2] < _EXACT_SUM:
+            return sums[0], float(sums[1]), float(sums[2])
+    return _float_power_sums(v - shift, top)
+
+
+def _float_power_sums(y: np.ndarray, top: int) -> tuple[int, float, float]:
+    """The sums of :func:`_power_sums` over int64 y, whose largest |y| is
+    ``top``, entry by entry in float; y is overwritten."""
     yf = y.astype(float)
     if top > _X_FITS:
         s2 = _square_sum(y)

@@ -20,6 +20,7 @@ from wpaoi import (
 )
 
 from conftest import truncation_k_max
+from wpaoi.analytics import _x2_overflows
 
 # Dyadic grid for exactness-sensitive draws: multiples of 1/512 carry at most
 # 26 significant bits, so squares and small integer combinations of them are
@@ -145,6 +146,19 @@ def test_interarrival_moments_reference_points():
         interarrival_moments(1.0, 0.0)
     with pytest.raises(ValueError):
         interarrival_moments(1.0, 1.5)
+
+
+def test_interarrival_moments_at_pi_one_where_two_e_t_squared_overflows():
+    # 2*E[T]^2 overflows from beta ~9.5e153, E[T^2] only at ~1.34e154; at
+    # pi = 1, X is T, for floats and arrays alike, without a warning
+    betas = [2.0, 9.6e153, 1.3e154]
+    for beta in betas:
+        assert interarrival_moments(beta, 1.0) == recharge_moments(beta)
+        assert not _x2_overflows(beta, 1.0)
+    e_t, e_t2 = recharge_moments(np.array(betas))
+    e_x, e_x2 = interarrival_moments(np.array(betas), 1.0)
+    assert np.array_equal(e_x, e_t) and np.array_equal(e_x2, e_t2)
+    assert not _x2_overflows(np.array(betas), np.ones(3)).any()
 
 
 def test_interarrival_moments_monte_carlo():

@@ -205,14 +205,30 @@ _SUBNORMAL_PI = ["--power-w", "0.3530899919196604", "--rate-bpcu", "2"]
         ["analytic", *_SUBNORMAL_PI, "--capacitor-j", "2.9964251964083542e-05"],
         ["validate", *_SUBNORMAL_PI, "--capacitor-j", "2.9964251964083542e-05"],
         ["sweep-b", *_SUBNORMAL_PI, "--b-values", "2.9964251964083542e-05,1e-4"],
+        ["simulate", *_SUBNORMAL_PI, "--capacitor-j", "2.9964251964083542e-05",
+         "--horizon", "1000000"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_subnormal_pi_is_domain_error(capsys, argv):
+def test_subnormal_pi_is_domain_error(capsys, monkeypatch, argv):
+    # the lane is refused before any run seeds its substreams
+    calls = []
+    monkeypatch.setattr(simulator, "_spawn_streams", calls.append)
     assert run_cli(argv) == 3
+    assert calls == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: E[X^2] overflows") and captured.err.count("\n") == 1
+
+
+def test_analytic_at_pi_one_where_two_e_t_squared_overflows(capsys):
+    # beta 9.98e153, pi 1: 2*E[T]^2 overflows, E[X^2] = E[T^2] does not
+    assert run_cli(["analytic", "--power-w", "1.46e6", "--capacitor-j", "1e154"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["pi"] == 1.0
+    assert payload["e_x2"] == payload["e_t2"] and math.isfinite(payload["e_q"])
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -290,6 +290,31 @@ def test_decode_cut_gives_the_outcomes_of_the_gains(ref_point):
     assert inside >= 20
 
 
+def test_decode_cut_is_kept_for_the_last_params(ref_point, monkeypatch):
+    # Every search starts with the decode threshold, so its calls count searches.
+    searches = []
+    threshold = simulator._threshold
+
+    def spy(p):
+        searches.append(p)
+        return threshold(p)
+
+    monkeypatch.setattr(simulator, "_threshold", spy)
+    _decode_cut.cache_clear()
+    params = ref_point()
+    for seed in (1, 2):
+        simulate(SimConfig(params, 100_000, seed))
+    # an equal point is the same point
+    _decode_cut(ref_point())
+    assert searches == [params]
+    # a new point takes the place of the last one
+    other = ref_point(rate_bpcu=0.5)
+    cuts = [_decode_cut(other), _decode_cut(params)]
+    assert searches == [params, other, params]
+    assert cuts == [_decode_cut.__wrapped__(other), _decode_cut.__wrapped__(params)]
+    assert cuts[0] != cuts[1]
+
+
 def test_decode_cut_is_zero_at_zero_threshold(toy_point):
     assert _decode_cut(toy_point) == 0.0
     assert _gain_decodes(toy_point, np.zeros(1))[0]
@@ -475,6 +500,8 @@ def test_alias_draws_equal_the_plain_rule(beta):
     assert np.array_equal(_alias_draws(_GivenDraws(u), table, u.size), _plain_alias_draws(u, q, alias))
     assert cells.size // q.size >= 8
     assert np.mean(cells < 0) <= q.size / cells.size
+    # 2^13 to 2^14 cells, unless 2^3 cells an entry are more
+    assert 2**13 <= cells.size < 2**14 or cells.size == 8 * q.size
 
 
 def _concatenated_chunks(config, block):
@@ -724,48 +751,103 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
 
 
+def _fourth_power_sum(total, n, top, rng):
+    """n ints from 0 to top, mostly zeros, whose fourth powers sum to total:
+    the largest ones that still fit, down to ones, in random order."""
+    y = []
+    while total:
+        a = min(math.isqrt(math.isqrt(total)), top)
+        y.append(a)
+        total -= a**4
+    assert len(y) <= n
+    return rng.permutation(np.array(y + [0] * (n - len(y)), dtype=np.int64))
+
+
 def _power_sum_cases():
-    """pytest.param(v, shift, whether _power_sums takes its histogram path)."""
+    """pytest.param(v, shift, the path _power_sums takes): an int64
+    "histogram" or int64 "entries" when the exact sums fit, and "float"
+    entries when they do not."""
     cases = []
     for top in (30, 2**26, _X_FITS, _X_FITS + 1, 2**40):
         v = np.random.default_rng(top % 997).integers(0, top, 20_000) + top // 3
-        cases.append(pytest.param(v, int(v[0]), top == 30, id=str(top)))
+        cases.append(pytest.param(v, int(v[0]), "histogram" if top == 30 else "float", id=str(top)))
     rng = np.random.default_rng(11)
-    # n * top^4 on either side of 2^53, top the largest |y|
+    # n * top^4 on either side of 2^53, top the largest |y|; the exact sum
+    # of y^4 stays below it
     v = rng.integers(0, 11, 10_000)
     assert v.size * 974**4 < 2**53 < v.size * 975**4
-    cases.append(pytest.param(v, 974, True, id="below_2**53"))
-    cases.append(pytest.param(v, 975, False, id="above_2**53"))
+    cases.append(pytest.param(v, 974, "histogram", id="below_2**53"))
+    cases.append(pytest.param(v, 975, "histogram", id="above_2**53"))
     # the largest value at and one past the count
     v = rng.integers(0, 1_000, 1_000)
-    cases.append(pytest.param(np.append(v[1:], 1_000), int(v[1]), True, id="top_n"))
-    cases.append(pytest.param(np.append(v[1:], 1_001), int(v[1]), False, id="top_n_plus_1"))
+    cases.append(pytest.param(np.append(v[1:], 1_000), int(v[1]), "histogram", id="top_n"))
+    cases.append(pytest.param(np.append(v[1:], 1_001), int(v[1]), "entries", id="top_n_plus_1"))
     # shifts outside [min(v), max(v)], and negative v
     v = rng.integers(5, 51, 2_000)
-    cases.append(pytest.param(v, -7, True, id="shift_below_min"))
-    cases.append(pytest.param(v, 80, True, id="shift_above_max"))
-    cases.append(pytest.param(v - 10, int(v[0]), False, id="negative"))
-    cases.append(pytest.param(np.array([1]), 1, True, id="single_1"))
-    cases.append(pytest.param(np.array([7]), 3, False, id="single_7"))
+    cases.append(pytest.param(v, -7, "histogram", id="shift_below_min"))
+    cases.append(pytest.param(v, 80, "histogram", id="shift_above_max"))
+    cases.append(pytest.param(v - 10, int(v[0]), "entries", id="negative"))
+    cases.append(pytest.param(np.array([1]), 1, "histogram", id="single_1"))
+    cases.append(pytest.param(np.array([7]), 3, "entries", id="single_7"))
+    # the exact sum of y^4 just below and at 2^53 while n * top^4 is past
+    # it, from a histogram and entry by entry (v shifted below zero)
+    for total, path in ((2**53 - 1, "histogram"), (2**53, "float")):
+        v = _fourth_power_sum(total, 20_000, 2_000, rng)
+        assert 2**53 < v.size * 2_000**4 < 2**63 and v.max() == 2_000
+        cases.append(pytest.param(v, 0, path, id=f"sum4_{total - 2**53}_histogram"))
+        path = "entries" if path == "histogram" else path
+        cases.append(pytest.param(v - 5, -5, path, id=f"sum4_{total - 2**53}_entries"))
+    # the interarrival times of a reference-point run: ~28.6k geometric
+    # times of mean ~345 capped at 2,716, about the first one, 434
+    v = np.minimum(rng.geometric(1 / 345, 28_600) + 100, 2_716)
+    assert v.size * (2_716 - 434) ** 4 > 2**53
+    cases.append(pytest.param(v, 434, "histogram", id="reference_interarrivals"))
+    # n * top^4 on either side of 2^63, with y^4 summing to 2^48
+    for n, path in ((2**15 - 1, "histogram"), (2**15, "float")):
+        v = np.zeros(n, dtype=np.int64)
+        v[rng.integers(n)] = 2**12
+        cases.append(pytest.param(v, 0, path, id=f"top4_n_{n}"))
+    # a few samples on either side of the exact bound, 9741^4 < 2^53 < 9742^4
+    for top, path in ((9_741, "entries"), (9_742, "float")):
+        v = np.array([3, 20, top + 20, 17])
+        cases.append(pytest.param(v, 20, path, id=f"few_{top}"))
     return cases
 
 
-@pytest.mark.parametrize("v, shift, histogram", _power_sum_cases())
-def test_power_sums_equal_the_plain_form(v, shift, histogram, monkeypatch):
+@pytest.mark.parametrize("v, shift, path", _power_sum_cases())
+def test_power_sums_equal_the_plain_form(v, shift, path, monkeypatch):
     # Below _X_FITS the float y^2 comes from the exact int64 square, which
     # rounds to yf * yf; above it the squares are exact Python ints. The
-    # histogram path must give the float sums of the powers bit for bit.
+    # exact paths must give the float sums of the powers bit for bit.
     y = [int(a) - shift for a in v.tolist()]
     yf = v.astype(float) - float(shift)
     assert yf.tolist() == [float(a) for a in y]
     plain = (sum(a * a for a in y), float((yf * yf * yf).sum()), float(((yf * yf) * (yf * yf)).sum()))
-    histograms = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda w: histograms.append(w.size) or bincount(w))
+    taken = []
+    bincount, float_sums = np.bincount, simulator._float_power_sums
+    monkeypatch.setattr(np, "bincount", lambda w: taken.append("histogram") or bincount(w))
+    monkeypatch.setattr(
+        simulator, "_float_power_sums", lambda *a: taken.append("float") or float_sums(*a)
+    )
     sums = _power_sums(v, shift)
     assert sums == plain
     assert [type(a) for a in sums] == [int, float, float]
-    assert histograms == ([v.size] if histogram else [])
+    # an exact path that finds a y^4 sum of 2^53 or more hands over to
+    # float; the entries path, the only other one, calls neither spy
+    assert taken == ([] if path == "entries" else taken[:-1] + [path])
+
+
+def test_reference_run_takes_no_float_power_sum(ref_point, monkeypatch):
+    # beta 145.6 over 1e7 slots: every power sum, in every chunk, is exact
+    calls = []
+    float_sums = simulator._float_power_sums
+    monkeypatch.setattr(
+        simulator, "_float_power_sums", lambda *a: calls.append(a) or float_sums(*a)
+    )
+    for seed in (12, 7_000_001):
+        for warmup in Warmup:
+            assert simulate(SimConfig(ref_point(), 10_000_000, seed, warmup)).n_recharges > _CHUNK
+    assert calls == []
 
 
 @pytest.mark.parametrize("warmup", list(Warmup))
