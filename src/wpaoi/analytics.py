@@ -140,7 +140,7 @@ def recharge_pmf(beta: float, k):
     the subtraction of two huge terms, which is visible in normalization sums
     already at beta around 1e3. The decomposed form keeps every term small.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     karr = np.asarray(k)
     if karr.dtype.kind not in "iu":
@@ -217,7 +217,7 @@ def recharge_moments(beta):
     Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2).
     """
     b = np.asarray(beta, dtype=float)
-    if (b < 0.0).any():
+    if not (b >= 0.0).all():
         raise ValueError(f"beta must be non-negative, got {beta}")
     e_t, e_t2 = _moments(b)
     if np.ndim(beta) == 0:
@@ -227,7 +227,7 @@ def recharge_moments(beta):
 
 def _check_pi(pi) -> None:
     p = np.asarray(pi, dtype=float)
-    if np.any((p <= 0.0) | (p > 1.0)):
+    if not ((p > 0.0) & (p <= 1.0)).all():
         raise ValueError(f"pi must be in (0, 1], got {pi}")
 
 
@@ -253,9 +253,9 @@ def mean_peak_area(e_x: float, e_x2: float) -> float:
     With slotted ages the area of one interarrival of length X is the
     triangular sum X*(X+1)/2, whose expectation is (E[X^2] + E[X]) / 2.
     """
-    if e_x < 1.0:
+    if not e_x >= 1.0:
         raise ValueError(f"e_x must be >= 1, got {e_x}")
-    if e_x2 < e_x:
+    if not e_x2 >= e_x:
         raise ValueError(f"e_x2 must be >= e_x, got e_x2={e_x2}, e_x={e_x}")
     return 0.5 * (e_x2 + e_x)
 
@@ -275,7 +275,7 @@ def average_aoi(beta, pi):
     """
     e_t, e_t2 = recharge_moments(beta)
     p = np.asarray(pi, dtype=float)
-    if ((p < 0.0) | (p > 1.0)).any():
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError(f"pi must be in [0, 1], got {pi}")
     # (1 - pi) / pi is inf at pi = 0 and may overflow to inf at a denormal
     # pi; inf is the intended value there.
@@ -302,11 +302,11 @@ def aoi_limit_ratio(theta: float, channel_rate: float, efficiency: float) -> flo
     c = channel_rate * theta / efficiency, leaving
     ``(1 + 3c + c**2) / (2 * (1 + c)) + 1/2``.
     """
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ValueError(f"theta must be non-negative, got {theta}")
-    if channel_rate <= 0.0:
+    if not channel_rate > 0.0:
         raise ValueError(f"channel_rate must be positive, got {channel_rate}")
-    if efficiency <= 0.0:
+    if not efficiency > 0.0:
         raise ValueError(f"efficiency must be positive, got {efficiency}")
     return average_aoi(channel_rate * theta / efficiency, 1.0)
 

@@ -61,11 +61,11 @@ def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> flo
     float
         Rate parameter lambda of the channel power gain distribution.
     """
-    if d_m <= 0.0:
+    if not d_m > 0.0:
         raise ValueError(f"distance must be positive, got {d_m}")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"path-loss exponent must be positive, got {alpha}")
-    if c0 <= 0.0:
+    if not c0 > 0.0:
         raise ValueError(f"reference constant must be positive, got {c0}")
     try:
         return c0 * d_m**alpha
@@ -138,19 +138,22 @@ class DerivedParams:
     pi: float
 
     def __post_init__(self) -> None:
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if not 0.0 < self.pi <= 1.0:
             raise ValueError(f"pi must be in (0, 1], got {self.pi}")
 
 
+def _snr_threshold(rate_bpcu: float) -> float:
+    """2**r - 1, the SNR that decodes at rate r; inf where 2**r overflows."""
+    return 2.0**rate_bpcu - 1.0 if rate_bpcu < 1024.0 else math.inf
+
+
 def _coefficients(p: SystemParams) -> tuple[float, float, float]:
     """lambda, eta*P and lambda*(2**r - 1)*sigma^2: beta is lambda*B/(eta*P)
-    and pi is exp(-lambda*(2**r - 1)*sigma^2/B). A rate too large for
-    2**r to fit a float makes the threshold, and the third value, infinite."""
+    and pi is exp(-lambda*(2**r - 1)*sigma^2/B); the third is inf where 2**r is."""
     lam = p.channel_rate
-    threshold = 2.0**p.rate_bpcu - 1.0 if p.rate_bpcu < 1024.0 else math.inf
-    return lam, p.efficiency * p.power_w, lam * threshold * p.noise_w
+    return lam, p.efficiency * p.power_w, lam * _snr_threshold(p.rate_bpcu) * p.noise_w
 
 
 def _beta(lam, eta_p, b):

@@ -30,6 +30,7 @@ __all__ = ["OptResult", "optimize_capacitor", "optimize_capacitors"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_N_GRID = 256  # points of the log-spaced scan over [b_lo, b_hi]
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,10 @@ def optimize_capacitors(
     b_lo: float = 1e-9,
     b_hi: float = 1.0,
     tol_rel: float = 1e-6,
-    n_grid: int = 256,
 ) -> list[OptResult]:
     """Find the age-minimizing capacitor size of each operating point in ``lanes``.
 
-    A log-spaced scan of ``n_grid`` points over [b_lo, b_hi] locates each
+    A fixed scan of 256 log-spaced points over [b_lo, b_hi] locates each
     lane's best grid cell; ties go to the smaller capacitor. A size whose
     success probability underflows counts as an infinite age, and so does
     one whose beta overflows, where the age is NaN. Golden section search
@@ -74,8 +74,6 @@ def optimize_capacitors(
         raise ValueError(f"need 0 < b_lo < b_hi < inf, got ({b_lo}, {b_hi})")
     if not 0.0 < tol_rel < math.inf:
         raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be >= 3, got {n_grid}")
     coefficients = [_coefficients(p) for p in lanes]
     lam, eta_p, k = np.array(coefficients).reshape(-1, 3).T[:, :, None]
     k_rows, row = np.unique(k, return_inverse=True)
@@ -83,7 +81,7 @@ def optimize_capacitors(
     # geomspace overflows inside near the top of the float range, and a beta
     # or pi exponent that overflows gives an infinite or NaN age.
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.geomspace(b_lo, b_hi, n_grid)
+        grid = np.geomspace(b_lo, b_hi, _N_GRID)
         vals = average_aoi(_beta(lam, eta_p, grid), _pi(k_rows[:, None], grid)[row.ravel()])
     # A NaN age, inf/inf where beta overflows, ranks as an infinite one.
     vals[np.isnan(vals)] = math.inf
@@ -136,11 +134,10 @@ def optimize_capacitor(
     b_lo: float = 1e-9,
     b_hi: float = 1.0,
     tol_rel: float = 1e-6,
-    n_grid: int = 256,
 ) -> OptResult:
     """Find the capacitor size minimizing the closed-form average age.
 
     The one-lane case of :func:`optimize_capacitors`; the ``capacitor_j``
     field of ``params`` is not read.
     """
-    return optimize_capacitors([params], b_lo, b_hi, tol_rel, n_grid)[0]
+    return optimize_capacitors([params], b_lo, b_hi, tol_rel)[0]

@@ -28,7 +28,7 @@ Two execution paths sample this system:
 
 The tests hold a vectorized copy of the slot dynamics,
 ``tests/reference_slots.py``, which finds fills by binary search in
-cumulative harvest sums a block at a time. It consumes the two random
+cumulative harvest sums over 2^23 slots at a time. It consumes the two random
 substreams as :func:`trace_rows` does (one draw from the harvest stream per
 slot, one draw from the decode stream per transmit slot), so the two agree
 bit for bit for a given seed. The renewal engine reads the harvest stream
@@ -66,7 +66,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .analytics import recharge_pmf
-from .model import SystemParams, beta_pi
+from .model import SystemParams, _snr_threshold, beta_pi
 
 __all__ = [
     "Warmup",
@@ -82,9 +82,11 @@ __all__ = [
     "write_trace",
 ]
 
-_BLOCK = 1 << 23
 # Most fills the renewal engine draws, and the reduction reads, at a time.
 _CHUNK = 1 << 16
+# Most entries of an alias table: a chunk of table draws adds at most 2^32
+# slots to a fill below 2^62, so its running sum cannot wrap int64.
+_TABLE_MAX = 1 << 16
 _MAX_HORIZON = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 # Largest X whose X*(X+1) fits in int64.
@@ -105,7 +107,7 @@ _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max
 # least _TABLE_BETA and the run expects at least _TABLE_FILLS fills per table
 # entry, and with numpy's Poisson sampler otherwise. Timed side by side with
 # numpy 2.4.6 on 2 vCPUs: a table draw ~8 ns up to beta 24, ~10 at 145.6 and
-# ~12 at 4000 and at _CHUNK entries; a Poisson draw ~17 ns at beta 0.001, ~26
+# ~12 at 4000 and at 2^16 entries; a Poisson draw ~17 ns at beta 0.001, ~26
 # at 0.3, ~42 at 1 and 47-70 from 1.5 up; a build 0.1-0.2 ms up to beta 1.5.
 # The constants were set when a table draw cost ~0.6 of a Poisson one at beta
 # 1, not ~0.2, and when every run paid for its own build. The table of the
@@ -220,7 +222,7 @@ def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]
 
 def _threshold(p: SystemParams) -> float:
     """The channel gain that decodes, (2^r - 1)*sigma^2/B; inf where 2^r overflows."""
-    return (2.0**p.rate_bpcu - 1.0 if p.rate_bpcu < 1024.0 else math.inf) * p.noise_w / p.capacitor_j
+    return _snr_threshold(p.rate_bpcu) * p.noise_w / p.capacitor_j
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,7 +295,7 @@ def _alias_table(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c >= e on, and -1 in the cell that e splits, unless e is an integer.
 
     The table of the last beta is kept, at most ~5 MB (the largest,
-    ``_CHUNK`` entries), so runs at one operating point build it once per
+    ``_TABLE_MAX`` entries), so runs at one operating point build it once per
     process. Its arrays are shared by every caller and so are read-only."""
     size = _table_size(beta)
     pmf = recharge_pmf(beta, np.arange(1, size + 1))
@@ -348,29 +350,29 @@ def _fill_bound(slots: int, beta: float) -> int:
     return int(need + 6.0 * math.sqrt(need)) + 16
 
 
-def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
+def _renewal_fills(h_rng, beta: float, horizon: int):
     """Yield the fill slots up to the horizon, the running sum of
-    ``1 + Poisson(beta)`` draws, in chunks of at most ``block`` and
-    ``_CHUNK`` fills. No chunk is empty.
+    ``1 + Poisson(beta)`` draws, in chunks of at most ``_CHUNK`` fills. No
+    chunk is empty.
 
     The slot of the last fill so far enters the first draw of a chunk, so
-    one cumulative sum gives the chunk's fill slots. On the table path a
-    draw is below K <= ``_CHUNK``, so the sum of a chunk cannot wrap: it is
-    sorted, and one binary search finds the fills within the horizon. A
-    Poisson draw is unbounded, so that path caps each recharge and finds
-    the first fill past the horizon by comparison."""
+    one cumulative sum gives the chunk's fill slots. On the table path that
+    sum cannot wrap (see ``_TABLE_MAX``): it is sorted, and one binary
+    search finds the fills within the horizon. A Poisson draw is unbounded,
+    so that path caps each recharge and finds the first fill past the
+    horizon by comparison."""
     if beta > _POISSON_LAM_MAX:
         return
     # The alias table pays for its build only over enough fills; the choice
     # rests on beta and the horizon alone.
     size = _table_size(beta)
     table = None
-    if beta >= _TABLE_BETA and size <= _CHUNK and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
+    if beta >= _TABLE_BETA and size <= _TABLE_MAX and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
         table = _alias_table(beta)
     pos = 0
     while True:
         left = horizon - pos
-        n = min(block, _CHUNK, _fill_bound(left, beta))
+        n = min(_CHUNK, _fill_bound(left, beta))
         if table is None:
             s = h_rng.poisson(beta, n)
             # A recharge longer than what is left ends the run. Capping each
@@ -396,18 +398,18 @@ def _renewal_fills(h_rng, beta: float, horizon: int, block: int):
         pos = int(s[-1])
 
 
-def _event_chunks(config: SimConfig, block: int):
+def _event_chunks(config: SimConfig):
     """Yield (fill slots, decode outcomes) of the renewal engine chunk by chunk."""
     p = config.params
     horizon = config.horizon_slots
     beta, _ = beta_pi(p, p.capacitor_j)
     h_rng, g_rng = _spawn_streams(config.seed)
     cut = _decode_cut(p)
-    for fills in _renewal_fills(h_rng, beta, horizon, block):
+    for fills in _renewal_fills(h_rng, beta, horizon):
         yield fills, _decodes(cut, g_rng, fills, horizon)
 
 
-def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
+def sample_events(config: SimConfig) -> EventLog:
     """Sample the fill slots and decode outcomes of one run, update by update.
 
     Between fills the capacitor collects energy quanta ``eta*P*h`` with
@@ -416,8 +418,8 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     slot. So the recharge time is exactly ``T = 1 + Poisson(beta)`` with
     beta = lambda*B/(eta*P), independently from fill to fill, and the fill
     slots are the running sum of the T draws up to the horizon. The draws
-    come in chunks of at most ``block`` (and ``_CHUNK``) fills, each sized to
-    what the rest of the horizon needs.
+    come in chunks of at most ``_CHUNK`` fills, each sized to what the rest
+    of the horizon needs.
 
     When beta is at least 1 and the run expects at least 64 fills per entry
     of the table, ``T - 1`` comes from a Walker alias table (Walker 1977;
@@ -428,11 +430,11 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     one uniform u: the integer part of K*u picks an entry and its fraction
     tosses the entry's coin, at a resolution of 2^-(53 - log2 K); most
     draws read that outcome from a cell of the table, bit for bit. Any other
-    run, and any table above ``_CHUNK`` entries, uses numpy's Poisson
+    run, and any table above ``_TABLE_MAX`` entries, uses numpy's Poisson
     sampler, which gives the same sequence however it is split. Either way
     the choice rests on beta and the horizon alone and every fill consumes
-    its own draws in order, so ``block`` only affects memory use, not the
-    results.
+    its own draws in order, so the chunk length only affects memory use,
+    not the results.
 
     Decode outcomes are drawn from a second substream, one draw per attempt,
     in fill order, as :func:`trace_rows` reads them. A beta above numpy's
@@ -446,7 +448,7 @@ def sample_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     size = _fill_bound(config.horizon_slots, beta)
     fills, success = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
     n = a = 0
-    for f, s in _event_chunks(config, block):
+    for f, s in _event_chunks(config):
         if n + f.size > fills.size:
             fills = np.resize(fills, 2 * n + f.size)
             success = np.resize(success, fills.size)
@@ -800,17 +802,14 @@ def summarize(log: EventLog, warmup: Warmup) -> SimStats:
     return _cycle_sums(log).stats(warmup)
 
 
-def simulate(config: SimConfig, block: int = _BLOCK) -> SimStats:
+def simulate(config: SimConfig) -> SimStats:
     """Sample one run with the renewal engine and reduce it as it is drawn.
 
-    The result equals ``summarize(sample_events(config, block),
-    config.warmup)``, but the event log is never held: memory stays at a few
-    chunks of fills however long the horizon. ``block`` caps the chunk size;
-    the age, the moments and the counters do not depend on it, while the
-    float sums behind the half-width may round differently in their last
-    bits.
+    The result equals ``summarize(sample_events(config), config.warmup)``,
+    but the event log is never held: memory stays at a few chunks of fills
+    however long the horizon.
     """
-    return _reduce(_event_chunks(config, block), config.horizon_slots).stats(config.warmup)
+    return _reduce(_event_chunks(config), config.horizon_slots).stats(config.warmup)
 
 
 def trace_rows(config: SimConfig):

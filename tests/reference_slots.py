@@ -10,7 +10,10 @@ the order ``trace_rows`` does and returns the events it writes, bit for bit.
 
 import numpy as np
 
-from wpaoi.simulator import _BLOCK, EventLog, SimConfig, _decode_cut, _decodes, _spawn_streams
+from wpaoi.simulator import EventLog, SimConfig, _decode_cut, _decodes, _spawn_streams
+
+# Most slots one cumulative harvest sum covers.
+_BLOCK = 1 << 23
 
 # Fill-search crossover in beta, the mean number of extra slots per recharge.
 # Above it one binary search per fill is cheaper; at or below it one search

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from wpaoi import (
+    DerivedParams,
     SystemParams,
     analytic_report,
     aoi_limit_fixed_B,
     aoi_limit_ratio,
     average_aoi,
     beta_pi,
+    channel_rate_from_distance,
     interarrival_moments,
     mean_peak_area,
     recharge_moments,
@@ -44,6 +46,35 @@ def test_recharge_pmf_rejects_bad_arguments():
         recharge_pmf(1.0, np.array([1, 2, 0]))
     with pytest.raises(ValueError):
         recharge_pmf(1.0, 1.5)
+
+
+_NAN = math.nan
+
+
+# Each range check is written so that NaN fails it, as it fails every
+# comparison.
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (DerivedParams, (_NAN, 0.5)),
+        (recharge_moments, (_NAN,)),
+        (interarrival_moments, (_NAN, 0.5)),
+        (interarrival_moments, (1.0, _NAN)),
+        (average_aoi, (_NAN, 0.5)),
+        (average_aoi, (1.0, _NAN)),
+        (analytic_report, (_NAN, 0.5)),
+        (aoi_limit_fixed_B, (_NAN,)),
+        (aoi_limit_ratio, (_NAN, 1.0, 1.0)),
+        (recharge_pmf, (_NAN, [1, 2])),
+        (channel_rate_from_distance, (_NAN, 2.0)),
+        (mean_peak_area, (_NAN, 2.0)),
+        (mean_peak_area, (2.0, _NAN)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)),
+)
+def test_closed_forms_reject_nan(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 def test_recharge_pmf_matches_poisson_library():

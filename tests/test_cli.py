@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -301,6 +302,30 @@ def test_validate_toy_point(capsys):
     payload = json.loads(captured.out)
     assert payload["all_passed"] is True
     assert len(payload["rows"]) == 5
+
+
+def _csv_cell(value) -> str:
+    """A JSON value as the CSV writer prints it: booleans as 0/1, floats by repr."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def test_validate_csv_equals_json_with_one_cycle_in_the_window(capsys):
+    # 5 slots at the toy point: fills at slots 2 and 4 decode, and the fill
+    # at slot 5 has no attempt. One cycle lies between the two updates, so
+    # every half-width is nan, yet the report exits 0.
+    argv = ["validate", *_TOY, "--horizon", "5", "--seed", "1"]
+    assert run_cli([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n_recharges"], payload["n_successes"]) == (3, 2)
+    assert run_cli([*argv, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == [f.name for f in dataclasses.fields(wpaoi.ValidationRow)]
+    assert len(rows) == 5
+    for row, expected in zip(rows, payload["rows"]):
+        assert row == [_csv_cell(expected[name]) for name in header]
+        assert row[header.index("ci_half")] == "nan"
 
 
 def test_validate_no_success_exit_code(capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import wpaoi.optimizer as optimizer
 from wpaoi import (
     OptResult,
     SystemParams,
@@ -76,10 +77,8 @@ def test_grid_scan_edge_cases(ref_point):
     assert np.argmin(vals) == 0 and vals.shape == (1,)
     # exact tie breaks toward the smaller (first) entry
     assert np.argmin(_age(params, [3e-4, 3e-4])) == 0
-    # the search builds its grid from (b_lo, b_hi, n_grid): it must be
-    # non-empty, positive and ascending
-    with pytest.raises(ValueError):
-        optimize_capacitors([params], 1e-6, 1e-2, n_grid=0)
+    # the search builds its grid from (b_lo, b_hi): it must be positive and
+    # ascending
     with pytest.raises(ValueError):
         optimize_capacitors([params], -1e-4, 3e-4)
     with pytest.raises(ValueError):
@@ -113,8 +112,6 @@ def test_optimize_validates_arguments(ref_point):
         optimize_capacitor(params, 1e-2, 1e-6)
     with pytest.raises(ValueError):
         optimize_capacitor(params, 1e-6, 1e-2, tol_rel=0.0)
-    with pytest.raises(ValueError):
-        optimize_capacitor(params, 1e-6, 1e-2, n_grid=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -308,14 +305,15 @@ def test_search_equals_plain_reference_on_the_edges(ref_point):
 
 
 @pytest.mark.parametrize("n_grid", [256, 64, 3])
-def test_search_equals_plain_reference_on_a_wide_bracket(ref_point, n_grid):
+def test_search_equals_plain_reference_on_a_wide_bracket(ref_point, n_grid, monkeypatch):
     # The best grid cell of a bracket of 600 decades borders sizes whose
     # success probability is tiny (256 points) or underflows to zero (64 and
     # 3). With 3 points the golden steps start among infinite ages, so ties
     # f1 == f2 decide their first ~1,200 steps.
     params = _search_point(ref_point, rate_bpcu=4.0)
     b_lo, b_hi = 1e-300, 1e300
-    result = optimize_capacitor(params, b_lo, b_hi, n_grid=n_grid)
+    monkeypatch.setattr(optimizer, "_N_GRID", n_grid)
+    result = optimize_capacitor(params, b_lo, b_hi)
     grid = np.geomspace(b_lo, b_hi, n_grid)
     with np.errstate(over="ignore"):  # beta**2 overflows at the top of the grid
         assert result == _reference_search(params, b_lo, b_hi, n_grid=n_grid)
@@ -326,14 +324,15 @@ def test_search_equals_plain_reference_on_a_wide_bracket(ref_point, n_grid):
     assert (pi_below == 0.0) == (n_grid != 256)
 
 
-def test_search_equals_plain_reference_where_beta_overflows(ref_point):
+def test_search_equals_plain_reference_where_beta_overflows(ref_point, monkeypatch):
     # beta overflows above ~100 J and pi underflows below ~1e25 J, so the
     # ages there are inf/inf = NaN and every other age is infinite: no grid
     # age is finite, and both searches refuse the lane.
     params = _search_point(ref_point, power_w=1e-300, rate_bpcu=100.0)
     for n_grid in (256, 17):
+        monkeypatch.setattr(optimizer, "_N_GRID", n_grid)
         with pytest.raises(ValueError, match="finite age"):
-            optimize_capacitor(params, 1e-9, 1e30, n_grid=n_grid)
+            optimize_capacitor(params, 1e-9, 1e30)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             with pytest.raises(ValueError):
                 _reference_search(params, 1e-9, 1e30, n_grid=n_grid)
@@ -342,7 +341,8 @@ def test_search_equals_plain_reference_where_beta_overflows(ref_point):
     # leaves the finite middle point, and the golden steps start among NaN
     # and infinite ages at both ends.
     params = _search_point(ref_point)
-    result = optimize_capacitor(params, 1e-300, 1e303, n_grid=3)
+    monkeypatch.setattr(optimizer, "_N_GRID", 3)
+    result = optimize_capacitor(params, 1e-300, 1e303)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         assert math.isnan(_age(params, 1e303))
         assert result == _reference_search(params, 1e-300, 1e303, n_grid=3)

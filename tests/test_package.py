@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -35,3 +36,15 @@ def test_import_loads_nothing_beyond_its_dependencies():
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "wpaoi"
     ]
     assert outside == []
+
+
+def test_public_signatures():
+    # The engine has no chunk-size knob and the search no grid-size knob:
+    # both are fixed module constants.
+    def names(f):
+        return list(inspect.signature(f).parameters)
+
+    assert names(wpaoi.simulate) == names(wpaoi.sample_events) == ["config"]
+    assert names(wpaoi.optimize_capacitor) == ["params", "b_lo", "b_hi", "tol_rel"]
+    assert names(wpaoi.optimize_capacitors) == ["lanes", "b_lo", "b_hi", "tol_rel"]
+    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 41

@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import math
 import statistics
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,7 @@ from wpaoi.simulator import (
     _POISSON_LAM_MAX,
     _TABLE_BETA,
     _TABLE_FILLS,
+    _TABLE_MAX,
     _X_FITS,
     _Z975,
     _alias_draws,
@@ -66,6 +69,15 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(simulator, "_alias_table", spy)
     return built
+
+
+@contextlib.contextmanager
+def _chunks_of(n):
+    """Cap the chunks the renewal engine draws, and the reduction reads, at
+    ``n`` fills, as far as ``_CHUNK`` allows."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "_CHUNK", min(n, _CHUNK))
+        yield
 
 
 # --- event extraction -------------------------------------------------------
@@ -332,9 +344,24 @@ def test_no_attempt_decodes_when_no_draw_clears_the_threshold(ref_point):
         assert not log.success.any()
 
 
-def _assert_block_invariant(engine, config, block):
-    a = engine(config)
-    b = engine(config, block=block)
+def test_decode_cut_bisects_when_the_guess_misses(ref_point, monkeypatch):
+    # With expm1 giving 0 the guess lands on draw 0, more than two grid
+    # points below the cut at the reference point; at rate 2 no draw
+    # decodes. Bisection then finds both cuts.
+    params = [ref_point(), ref_point(rate_bpcu=2.0)]
+    expected = [_decode_cut(p) for p in params]
+    assert expected[0] > 3 / _GRID and expected[1] == 1.0
+    no_guess = types.SimpleNamespace(**vars(math))
+    no_guess.expm1 = lambda x: 0.0
+    monkeypatch.setattr(simulator, "math", no_guess)
+    _decode_cut.cache_clear()
+    try:
+        assert [_decode_cut(p) for p in params] == expected
+    finally:
+        _decode_cut.cache_clear()
+
+
+def _assert_same_events(a, b):
     assert np.array_equal(a.fill_slots, b.fill_slots)
     assert np.array_equal(a.success, b.success)
 
@@ -345,16 +372,18 @@ def _assert_block_invariant(engine, config, block):
 @pytest.mark.parametrize("power_w", [3.0, 300.0], ids=["sparse", "dense"])
 def test_block_size_does_not_change_events(ref_point, power_w, block):
     config = SimConfig(ref_point(power_w=power_w), 50_000, seed=77)
-    _assert_block_invariant(sample_slot_events, config, block)
+    _assert_same_events(sample_slot_events(config), sample_slot_events(config, block=block))
 
 
-# The renewal engine draws recharge times in chunks of at most `block`; a
+# The renewal engine draws recharge times in chunks of at most `_CHUNK`; a
 # 7-draw chunk makes every run cross many chunk boundaries.
-@pytest.mark.parametrize("block", [997, 7])
+@pytest.mark.parametrize("chunk", [997, 7])
 @pytest.mark.parametrize("power_w", [3.0, 300.0], ids=["sparse", "dense"])
-def test_block_size_does_not_change_renewal_events(ref_point, power_w, block):
+def test_block_size_does_not_change_renewal_events(ref_point, power_w, chunk):
     config = SimConfig(ref_point(power_w=power_w), 50_000, seed=77)
-    _assert_block_invariant(sample_events, config, block)
+    expected = sample_events(config)
+    with _chunks_of(chunk):
+        _assert_same_events(expected, sample_events(config))
 
 
 def _two_sample(a, b, min_pooled=50):
@@ -447,7 +476,7 @@ class _GivenDraws:
 
 def test_largest_draw_lands_inside_the_table():
     # u * K stays below K at every table size, not only at those built here
-    sizes = np.arange(1, _CHUNK + 1)
+    sizes = np.arange(1, _TABLE_MAX + 1)
     assert np.all(((1.0 - 2.0**-53) * sizes).astype(np.int64) < sizes)
     for beta in (1e-3, 1.456, 24.0, 145.6, 4000.0):
         table = _alias_table(beta)
@@ -480,13 +509,13 @@ def _adversarial_uniforms(q):
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
-# The beta of the largest table the engine builds, _CHUNK entries.
+# The beta of the largest table the engine builds, _TABLE_MAX entries.
 _LARGEST_TABLE_BETA = 62_506.0
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.456, 24.0, 145.6, 4000.0, _LARGEST_TABLE_BETA])
 def test_alias_draws_equal_the_plain_rule(beta):
-    assert _table_size(_LARGEST_TABLE_BETA) == _CHUNK < _table_size(_LARGEST_TABLE_BETA + 1.0)
+    assert _table_size(_LARGEST_TABLE_BETA) == _TABLE_MAX < _table_size(_LARGEST_TABLE_BETA + 1.0)
     q, alias, cells = table = _alias_table(beta)
     u = _adversarial_uniforms(q)
     # both kinds of cell are hit: most draws read theirs, some fall back
@@ -504,15 +533,15 @@ def test_alias_draws_equal_the_plain_rule(beta):
     assert 2**13 <= cells.size < 2**14 or cells.size == 8 * q.size
 
 
-def _concatenated_chunks(config, block):
-    chunks = list(_event_chunks(config, block))
+def _concatenated_chunks(config):
+    chunks = list(_event_chunks(config))
     fills = np.concatenate([f for f, _ in chunks] or [np.empty(0, dtype=np.int64)])
     success = np.concatenate([s for _, s in chunks] or [np.empty(0, dtype=bool)])
     return fills, success
 
 
 @pytest.mark.parametrize(
-    "power_w, capacitor_j, horizon, block",
+    "power_w, capacitor_j, horizon, chunk",
     [
         (300.0, 3e-4, 1_000_000, 1 << 23),  # alias table, ~400k fills
         (300.0, 3e-4, 200_000, 997),
@@ -522,10 +551,11 @@ def _concatenated_chunks(config, block):
         (3.0, 0.5, 100, 1 << 23),  # no fill
     ],
 )
-def test_sample_events_equals_its_chunks(ref_point, power_w, capacitor_j, horizon, block):
+def test_sample_events_equals_its_chunks(ref_point, power_w, capacitor_j, horizon, chunk):
     config = SimConfig(ref_point(power_w=power_w, capacitor_j=capacitor_j), horizon, seed=21)
-    fills, success = _concatenated_chunks(config, block)
-    log = sample_events(config, block=block)
+    with _chunks_of(chunk):
+        fills, success = _concatenated_chunks(config)
+        log = sample_events(config)
     assert log.fill_slots.dtype == np.int64 and log.success.dtype == bool
     assert np.array_equal(log.fill_slots, fills)
     assert np.array_equal(log.success, success)
@@ -537,35 +567,36 @@ def test_sample_events_grows_its_log_past_the_bound(ref_point, monkeypatch):
     # past the bound the log is allocated at, chunk after chunk.
     renewal_fills = simulator._renewal_fills
 
-    def one_slot_recharges(h_rng, beta, horizon, block):
-        return renewal_fills(h_rng, 0.0, horizon, block)
+    def one_slot_recharges(h_rng, beta, horizon):
+        return renewal_fills(h_rng, 0.0, horizon)
 
     monkeypatch.setattr(simulator, "_renewal_fills", one_slot_recharges)
-    for horizon, block in ((300_000, 1 << 23), (5_000, 7)):
+    for horizon, chunk in ((300_000, _CHUNK), (5_000, 7)):
         config = SimConfig(ref_point(), horizon, seed=22)
-        log = sample_events(config, block=block)
+        with _chunks_of(chunk):
+            log = sample_events(config)
+            fills, success = _concatenated_chunks(config)
         beta = derive(config.params).beta
         assert log.fill_slots.size == horizon > 4 * simulator._fill_bound(horizon, beta)
-        fills, success = _concatenated_chunks(config, block)
         assert np.array_equal(log.fill_slots, fills)
         assert np.array_equal(log.fill_slots, np.arange(1, horizon + 1))
         assert np.array_equal(log.success, success)
         assert log.success.size == horizon - 1
 
 
-def _compare_and_argmax_fills(h_rng, beta, horizon, block):
+def _compare_and_argmax_fills(h_rng, beta, horizon):
     """The fill chunks of _renewal_fills by the plain horizon rule: cap each
     recharge at what is left plus one, take the running sum of the chunk,
     compare it with what is left, take the first entry past it by argmax,
     and only then add the slot of the last fill so far."""
     size = _table_size(beta)
     table = None
-    if beta >= _TABLE_BETA and size <= _CHUNK and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
+    if beta >= _TABLE_BETA and size <= _TABLE_MAX and horizon / (1.0 + beta) >= _TABLE_FILLS * size:
         table = _alias_table(beta)
     pos = 0
     while True:
         left = horizon - pos
-        n = min(block, _CHUNK, simulator._fill_bound(left, beta))
+        n = min(simulator._CHUNK, simulator._fill_bound(left, beta))
         s = h_rng.poisson(beta, n) if table is None else _alias_draws(h_rng, table, n)
         s += 1
         np.minimum(s, left + 1, out=s)
@@ -581,8 +612,8 @@ def _compare_and_argmax_fills(h_rng, beta, horizon, block):
         pos = int(s[-1])
 
 
-def _fill_chunks(fills, beta, horizon, block, seed):
-    return [c.tolist() for c in fills(np.random.default_rng(seed), beta, horizon, block)]
+def _fill_chunks(fills, beta, horizon, seed):
+    return [c.tolist() for c in fills(np.random.default_rng(seed), beta, horizon)]
 
 
 # (beta, span, fill indices): the horizons sit on, one slot before and one
@@ -598,62 +629,67 @@ _CUT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 23])
+# A chunk of 1 << 23 leaves _CHUNK as it is.
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 23])
 @pytest.mark.parametrize("beta, span, picks", _CUT_CASES)
-def test_horizon_cut_equals_compare_and_argmax(beta, span, picks, block):
-    fills = np.concatenate(list(_renewal_fills(np.random.default_rng(5), beta, span, 1 << 23)))
+def test_horizon_cut_equals_compare_and_argmax(beta, span, picks, chunk):
+    fills = np.concatenate(list(_renewal_fills(np.random.default_rng(5), beta, span)))
+    n = min(chunk, _CHUNK)
     for i in picks:
-        if block < 1 << 23 and i >= _CHUNK - 1:
+        if n < _CHUNK and i >= _CHUNK - 1:
             continue  # 65,536 fills in one- or seven-fill chunks take too long
-        for horizon in (int(fills[i]) - 1, int(fills[i]), int(fills[i]) + 1):
-            got = _fill_chunks(_renewal_fills, beta, horizon, block, seed=5)
-            assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, block, seed=5)
-            # the same draws, cut at the horizon
-            flat = [f for c in got for f in c]
-            assert flat == fills[fills <= horizon].tolist(), (beta, horizon, block)
-        # On a fill that ends a chunk, that chunk is cut after its last
-        # entry (k = n) and the next one before its first (k = 0).
-        got = _fill_chunks(_renewal_fills, beta, int(fills[i]), block, seed=5)
-        if block == 1 or (block == 7 and (i + 1) % 7 == 0) or i == _CHUNK - 1:
-            assert [len(c) for c in got] == [min(block, _CHUNK)] * ((i + 1) // min(block, _CHUNK))
+        with _chunks_of(n):
+            for horizon in (int(fills[i]) - 1, int(fills[i]), int(fills[i]) + 1):
+                got = _fill_chunks(_renewal_fills, beta, horizon, seed=5)
+                assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, seed=5)
+                # the same draws, cut at the horizon
+                flat = [f for c in got for f in c]
+                assert flat == fills[fills <= horizon].tolist(), (beta, horizon, n)
+            # On a fill that ends a chunk, that chunk is cut after its last
+            # entry (k = n) and the next one before its first (k = 0).
+            got = _fill_chunks(_renewal_fills, beta, int(fills[i]), seed=5)
+        if n == 1 or (n == 7 and (i + 1) % 7 == 0) or i == _CHUNK - 1:
+            assert [len(c) for c in got] == [n] * ((i + 1) // n)
 
 
 # Recharges of ~1e17 slots: the running sum of a chunk passes 2^63, and
 # wraps, after its first entry past a horizon near 2^62. Recharges of ~2^62
 # slots: in some runs the sum would pass 2^63 at that very entry, were the
 # recharges not capped.
-@pytest.mark.parametrize("block", [1, 7, 1 << 23])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 23])
 @pytest.mark.parametrize("beta", [1e17, 2.0**62])
-def test_horizon_cut_where_the_running_sum_wraps(beta, block):
+def test_horizon_cut_where_the_running_sum_wraps(beta, chunk):
     horizon = _MAX_HORIZON - 1
     first_past = []
     for seed in range(40):
-        # the first chunk of an unbounded block, uncapped
+        # the first chunk at the full _CHUNK, uncapped
         draws = np.random.default_rng(seed).poisson(beta, simulator._fill_bound(horizon, beta))
         sums = list(itertools.accumulate(d + 1 for d in draws.tolist()))
         assert sums[-1] >= 2**63
         first_past.append(next(s for s in sums if s > horizon))
-        got = _fill_chunks(_renewal_fills, beta, horizon, block, seed)
-        assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, block, seed)
+        with _chunks_of(chunk):
+            got = _fill_chunks(_renewal_fills, beta, horizon, seed)
+            assert got == _fill_chunks(_compare_and_argmax_fills, beta, horizon, seed)
     assert (max(first_past) >= 2**63) == (beta == 2.0**62)
 
 
 def test_sampler_choice_rests_on_beta_and_horizon(ref_point, table_builds):
-    # Runs at one beta and horizon that differ in seed, block and decode
-    # threshold all build the table, or none does.
+    # Runs at one beta and horizon that differ in seed, chunk length and
+    # decode threshold all build the table, or none does.
     for power_w in (3.0, 300.0):
         beta = derive(ref_point(power_w=power_w)).beta
         bound = _TABLE_FILLS * _table_size(beta) * (1.0 + beta)
         for horizon, builds in ((int(0.99 * bound), False), (int(1.01 * bound), True)):
-            for seed, block, rate_bpcu in ((1, 997, 0.05), (2, 1 << 23, 0.5), (3, 7, 0.01)):
+            for seed, chunk, rate_bpcu in ((1, 997, 0.05), (2, _CHUNK, 0.5), (3, 7, 0.01)):
                 table_builds.clear()
                 params = ref_point(power_w=power_w, rate_bpcu=rate_bpcu)
-                sample_events(SimConfig(params, horizon, seed), block=block)
+                with _chunks_of(chunk):
+                    sample_events(SimConfig(params, horizon, seed))
                 assert table_builds == ([beta] if builds else []), (beta, horizon)
-    # Below _TABLE_BETA, or past _CHUNK entries, no horizon is long enough.
+    # Below _TABLE_BETA, or past _TABLE_MAX entries, no horizon is long enough.
     for beta, builds in ((math.nextafter(_TABLE_BETA, 0.0), False), (_TABLE_BETA, True), (1e5, False)):
         table_builds.clear()
-        next(_renewal_fills(np.random.default_rng(0), beta, _MAX_HORIZON - 1, 1 << 23))
+        next(_renewal_fills(np.random.default_rng(0), beta, _MAX_HORIZON - 1))
         assert table_builds == ([beta] if builds else []), beta
 
 
@@ -694,7 +730,8 @@ def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmu
     config = SimConfig(ref_point(), 10_000_000, seed=12, warmup=warmup)
     expected = simulate(config)
     assert expected.n_recharges > _TABLE_FILLS * _table_size(table_builds[0])
-    assert simulate(config, block=997) == expected
+    with _chunks_of(997):
+        assert simulate(config) == expected
     assert len(table_builds) == 2
 
 
@@ -706,7 +743,7 @@ def test_simulate_reduces_renewal_events(ref_point):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_simulate_reduces_renewal_events_at_high_power(ref_point, seed):
     # beta 1.456 over 1e6 slots: ~407k fills of the 45-entry table in seven
-    # chunks, or in ~400 at block 997. Every power sum here is an integer
+    # chunks, or in ~400 of 997 fills each. Every power sum here is an integer
     # below 2**53, so even the float sums behind the half-width are exact
     # in any order.
     for warmup in Warmup:
@@ -714,7 +751,8 @@ def test_simulate_reduces_renewal_events_at_high_power(ref_point, seed):
         expected = summarize(sample_events(config), warmup)
         assert expected.n_recharges > 6 * _CHUNK
         assert simulate(config) == expected
-        assert simulate(config, block=997) == expected
+        with _chunks_of(997):
+            assert simulate(config) == expected
 
 
 def _measured_cycles(log, warmup):
@@ -891,8 +929,9 @@ def test_simulate_equals_summary_of_its_log_at_chunk_edges(ref_point, warmup):
     chunks = [log.success[i : i + 7] for i in range(0, log.success.size, 7)]
     assert sum(not c.any() for c in chunks) > 100
     expected = summarize(log, warmup)
-    for block in (7, 1 << 23):
-        assert simulate(config, block=block) == expected
+    for chunk in (7, _CHUNK):
+        with _chunks_of(chunk):
+            assert simulate(config) == expected
 
 
 @pytest.mark.parametrize("warmup", list(Warmup))
@@ -902,8 +941,9 @@ def test_simulate_does_not_depend_on_chunking(ref_point, warmup):
     config = SimConfig(_sparse_decodes(ref_point), 2_000, seed=12, warmup=warmup)
     expected = simulate(config)
     assert expected.n_recharges > 1_000
-    for block in (1, 7, 997):
-        assert simulate(config, block=block) == expected
+    for chunk in (1, 7, 997):
+        with _chunks_of(chunk):
+            assert simulate(config) == expected
 
 
 def test_simulate_memory_stays_bounded():
