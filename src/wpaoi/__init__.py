@@ -21,7 +21,6 @@ from .analytics import (
 from .experiments import (
     CSV_HEADER,
     SweepRow,
-    SweepSpec,
     ValidationReport,
     ValidationRow,
     format_validation_report,
@@ -67,7 +66,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "SweepRow",
-    "SweepSpec",
     "SystemParams",
     "ValidationReport",
     "ValidationRow",

@@ -122,7 +122,7 @@ def recharge_pmf(beta: float, k):
     Parameters
     ----------
     beta : float
-        Mean number of extra charging slots, >= 0.
+        Mean number of extra charging slots, >= 0 and finite.
     k : int or array of int
         Recharge duration in slots, >= 1.
 
@@ -140,8 +140,8 @@ def recharge_pmf(beta: float, k):
     the subtraction of two huge terms, which is visible in normalization sums
     already at beta around 1e3. The decomposed form keeps every term small.
     """
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be non-negative and finite, got {beta}")
     karr = np.asarray(k)
     if karr.dtype.kind not in "iu":
         if not np.all(np.equal(np.mod(karr, 1), 0)):
@@ -214,11 +214,12 @@ def _age(e_t, e_t2, pi):
 def recharge_moments(beta):
     """First and second moments of the recharge time T.
 
-    Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2).
+    Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2). An infinite
+    beta, whose age is inf/inf, raises ValueError, as does a negative one.
     """
     b = np.asarray(beta, dtype=float)
-    if not (b >= 0.0).all():
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    if not ((b >= 0.0) & (b < math.inf)).all():
+        raise ValueError(f"beta must be non-negative and finite, got {beta}")
     e_t, e_t2 = _moments(b)
     if np.ndim(beta) == 0:
         return float(e_t), float(e_t2)

@@ -23,7 +23,6 @@ from dataclasses import asdict, replace
 
 from .analytics import analytic_report
 from .experiments import (
-    SweepSpec,
     _csv,
     _json,
     format_validation_report,
@@ -69,9 +68,9 @@ def _add_physical_flags(parser: argparse.ArgumentParser, need_capacitor: bool) -
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
 
-def _params_from_args(args, capacitor_j=None):
+def _params_from_args(args):
     # a subcommand with --capacitor-j requires it; the others size B later
-    b = getattr(args, "capacitor_j", 1.0) if capacitor_j is None else capacitor_j
+    b = getattr(args, "capacitor_j", 1.0)
     distance = args.distance_m
     if args.channel_rate is None and distance is None:
         distance = 20.0
@@ -163,15 +162,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep_b(args) -> int:
-    params = _params_from_args(args, capacitor_j=args.b_values[0])
-    spec = SweepSpec(params, "capacitor_j", tuple(args.b_values), args.with_sim, args.horizon, args.seed)
-    return _emit_rows(sweep_aoi_vs_B(spec), args)
+    horizon = args.horizon if args.with_sim else None
+    rows = sweep_aoi_vs_B(_params_from_args(args), args.b_values, horizon, args.seed)
+    return _emit_rows(rows, args)
 
 
 def _cmd_sweep_p(args) -> int:
-    params = _params_from_args(args, capacitor_j=1.0)
-    spec = SweepSpec(replace(params, power_w=args.p_values[0]), "power_w", tuple(args.p_values))
-    return _emit_rows(sweep_minaoi_vs_P(spec, args.r_values), args)
+    rows = sweep_minaoi_vs_P(_params_from_args(args), args.p_values, args.r_values)
+    return _emit_rows(rows, args)
 
 
 def _emit_rows(rows, args) -> int:
@@ -238,9 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-p", help="minimum age versus transmit power table")
     _add_physical_flags(p, need_capacitor=False)
-    p.add_argument("--p-values", type=_float_list, required=True, help="comma-separated powers in watts")
+    p.add_argument("--p-values", type=_float_list, required=True,
+                   help="comma-separated powers in watts; each replaces --power-w, "
+                   "which sweep-p only checks for validity")
     p.add_argument("--r-values", type=_float_list, default=(0.05,),
-                   help="comma-separated spectral efficiencies (default 0.05)")
+                   help="comma-separated spectral efficiencies (default 0.05); each replaces --rate-bpcu")
     p.set_defaults(func=_cmd_sweep_p)
 
     p = sub.add_parser("validate", help="closed forms against simulation with verdicts")

@@ -3,7 +3,9 @@
 The two sweep shapes mirror the standard presentation of this system: the
 average age as a function of the capacitor size at several transmit powers
 (a U-shaped family of curves), and the minimum achievable age as a function
-of transmit power at several spectral efficiencies.
+of transmit power at several spectral efficiencies. Each sweep takes a base
+operating point and the values that replace its fields, and refuses exactly
+the points that :func:`~wpaoi.model.derive` refuses.
 
 Sweep rows serialize to a single fixed CSV schema for both shapes, with
 empty fields where a column does not apply, and to JSON with every field
@@ -22,13 +24,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .analytics import _x2_overflows, analytic_report, average_aoi
-from .model import SystemParams, beta_pi, derive
+from .analytics import analytic_report, average_aoi
+from .model import SystemParams, _refuse, beta_pi, derive
 from .optimizer import optimize_capacitors
 from .simulator import NoSuccessError, SimConfig, Warmup, _cycle_sums, sample_events, simulate
 
 __all__ = [
-    "SweepSpec",
     "SweepRow",
     "CSV_HEADER",
     "sweep_aoi_vs_B",
@@ -41,38 +42,7 @@ __all__ = [
     "format_validation_report",
 ]
 
-_SWEEPABLE = ("capacitor_j", "power_w")
-
 CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: a base operating point plus the values of one swept field.
-
-    Simulation, when enabled, reuses the same seed at every sweep point.
-    """
-
-    base: SystemParams
-    swept_field: str
-    values: tuple[float, ...]
-    with_simulation: bool = False
-    horizon_slots: int = 10_000_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.swept_field not in _SWEEPABLE:
-            raise ValueError(f"swept_field must be one of {_SWEEPABLE}, got {self.swept_field!r}")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("values must be non-empty")
-        if not all(0.0 < v < math.inf for v in vals):
-            raise ValueError("values must be positive and finite")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValueError("values must be ascending")
-        object.__setattr__(self, "values", vals)
-        if self.horizon_slots < 1:
-            raise ValueError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
 
 
 @dataclass(frozen=True)
@@ -98,64 +68,74 @@ class SweepRow:
     sim_error: str | None = None
 
 
-def sweep_aoi_vs_B(spec: SweepSpec) -> list[SweepRow]:
+def _sweep_values(values) -> tuple[float, ...]:
+    """The swept values as floats; they must be non-empty, positive and
+    finite, and ascending."""
+    vals = tuple(float(v) for v in values)
+    if not vals:
+        raise ValueError("values must be non-empty")
+    if not all(0.0 < v < math.inf for v in vals):
+        raise ValueError("values must be positive and finite")
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        raise ValueError("values must be ascending")
+    return vals
+
+
+def sweep_aoi_vs_B(
+    base: SystemParams, b_values, horizon: int | None = None, seed: int = 0
+) -> list[SweepRow]:
     """Average age at each capacitor size, optionally validated by simulation.
 
-    The closed forms of all sizes come from one broadcast evaluation of
+    The sizes replace the ``capacitor_j`` of ``base``. The closed forms of
+    all sizes come from one broadcast evaluation of
     :func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`,
-    equal bit for bit to evaluating each size alone. A size whose success
-    probability underflows, or whose E[T^2] or E[X^2] overflows, raises the
-    ValueError of :func:`~wpaoi.model.derive`. A sweep point whose
-    simulation produces no decoded update is flagged in the row rather than
-    aborting the sweep.
+    equal bit for bit to evaluating each size alone. A size that
+    :func:`~wpaoi.model.derive` refuses raises its ValueError. With a
+    ``horizon`` every size is also simulated over that many slots, with the
+    same ``seed`` at every size; ``horizon=None`` simulates nothing. A size
+    whose simulation produces no decoded update is flagged in the row rather
+    than aborting the sweep.
     """
-    if spec.swept_field != "capacitor_j":
-        raise ValueError(f"expected a capacitor_j sweep, got {spec.swept_field!r}")
-    beta, pi = beta_pi(spec.base, np.array(spec.values))
-    with np.errstate(over="ignore"):
-        refused = (beta * beta == math.inf) | _x2_overflows(beta, pi)
-    if refused.any():
-        # derive raises its error at the first such size
-        derive(replace(spec.base, capacitor_j=spec.values[int(refused.argmax())]))
+    values = _sweep_values(b_values)
+    sizes = np.array(values)
+    beta, pi = beta_pi(base, sizes)
+    _refuse(beta, pi, sizes)
     delta = average_aoi(beta, pi)
     rows = []
-    for value, b, p, age in zip(spec.values, beta.tolist(), pi.tolist(), delta.tolist()):
-        delta_sim = delta_sim_ci = None
-        sim_error = None
-        if spec.with_simulation:
-            config = SimConfig(replace(spec.base, capacitor_j=value), spec.horizon_slots, spec.seed)
+    for value, b, p, age in zip(values, beta.tolist(), pi.tolist(), delta.tolist()):
+        delta_sim = delta_sim_ci = sim_error = None
+        if horizon is not None:
             try:
-                stats = simulate(config)
-                delta_sim = stats.delta_hat
-                delta_sim_ci = stats.delta_ci_half
+                stats = simulate(SimConfig(replace(base, capacitor_j=value), horizon, seed))
+                delta_sim, delta_sim_ci = stats.delta_hat, stats.delta_ci_half
             except NoSuccessError as exc:
                 sim_error = str(exc)
         rows.append(SweepRow(value, b, p, age, delta_sim, delta_sim_ci, sim_error=sim_error))
     return rows
 
 
-def sweep_minaoi_vs_P(spec: SweepSpec, r_values) -> list[SweepRow]:
+def sweep_minaoi_vs_P(base: SystemParams, p_values, r_values) -> list[SweepRow]:
     """Minimum achievable age at each power, for each spectral efficiency.
 
-    Rows come out grouped by spectral efficiency, powers ascending within a
-    group. beta and pi are evaluated at the optimal capacitor size. A search
-    that ends on the bracket edge is marked with ``boundary=True``.
+    The powers and spectral efficiencies replace those of ``base``, whose
+    ``capacitor_j`` is not read either. Rows come out grouped by spectral
+    efficiency, powers ascending within a group. beta and pi are evaluated
+    at the optimal capacitor size, and a lane that
+    :func:`~wpaoi.model.derive` refuses there raises its ValueError, as
+    ``optimize`` does. A search that ends on the bracket edge is marked with
+    ``boundary=True``.
     """
-    if spec.swept_field != "power_w":
-        raise ValueError(f"expected a power_w sweep, got {spec.swept_field!r}")
+    powers = _sweep_values(p_values)
     r_vals = [float(r) for r in r_values]
     if not r_vals:
         raise ValueError("r_values must be non-empty")
     if not all(0.0 <= r < math.inf for r in r_vals):
         raise ValueError("r_values must be non-negative and finite")
-    lanes = [replace(spec.base, power_w=power, rate_bpcu=r) for r in r_vals for power in spec.values]
+    lanes = [replace(base, power_w=power, rate_bpcu=r) for r in r_vals for power in powers]
     opts = optimize_capacitors(lanes)
-    b_stars = [opt.b_star_j for opt in opts]
-    beta, pi = beta_pi(lanes, np.array(b_stars))
-    if not pi.all():
-        # derive raises its underflow error at the first such lane
-        k = int(np.argmin(pi))
-        derive(replace(lanes[k], capacitor_j=b_stars[k]))
+    b_stars = np.array([opt.b_star_j for opt in opts])
+    beta, pi = beta_pi(lanes, b_stars)
+    _refuse(beta, pi, b_stars)
     return [
         SweepRow(params.power_w, b, p, opt.delta_star, b_star=opt.b_star_j, delta_star=opt.delta_star,
                  rate_bpcu=params.rate_bpcu, boundary=opt.on_boundary)

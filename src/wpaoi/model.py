@@ -203,23 +203,35 @@ def beta_pi(params, capacitor_j):
         return _beta(lam, eta_p, b), _pi(k, b)
 
 
+def _refuse(beta, pi, capacitor_j) -> None:
+    """Raise derive's ValueError at the first point where pi underflows to
+    zero, E[T^2] overflows or E[X^2] overflows. Takes floats, or 1-d arrays
+    whose first refused entry is checked again as floats, for the message."""
+    if not isinstance(pi, float):
+        with np.errstate(over="ignore"):
+            refused = (pi <= 0.0) | (beta * beta == math.inf) | _x2_overflows(beta, pi)
+        if not refused.any():
+            return
+        i = int(refused.argmax())
+        beta, pi, capacitor_j = float(beta[i]), float(pi[i]), float(capacitor_j[i])
+    if pi <= 0.0:
+        raise ValueError(f"success probability underflows to zero at capacitor_j {capacitor_j!r}")
+    if beta * beta == math.inf:
+        raise ValueError(f"E[T^2] overflows a float at beta {beta!r}")
+    if _x2_overflows(beta, pi):
+        raise ValueError(f"E[X^2] overflows a float at pi {pi!r}")
+
+
 def derive(params: SystemParams) -> DerivedParams:
     """Compute (beta, pi) for a physical operating point.
 
     Raises ValueError if the success probability underflows to zero, where
     the decode threshold is astronomically unlikely to be met, if beta is so
     large that E[T^2] overflows, or if pi is so small that E[X^2] does: no
-    downstream quantity is meaningful.
+    downstream quantity is meaningful. The sweeps refuse the same points.
     """
     beta, pi = beta_pi(params, params.capacitor_j)
-    if pi <= 0.0:
-        raise ValueError(
-            f"success probability underflows to zero at capacitor_j {params.capacitor_j!r}"
-        )
-    if beta * beta == math.inf:
-        raise ValueError(f"E[T^2] overflows a float at beta {beta!r}")
-    if _x2_overflows(beta, pi):
-        raise ValueError(f"E[X^2] overflows a float at pi {pi!r}")
+    _refuse(beta, pi, params.capacitor_j)
     return DerivedParams(beta=beta, pi=pi)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _age, _moments, average_aoi
+from .analytics import _age, _moments
 from .model import SystemParams, _beta, _coefficients, _pi
 
 __all__ = ["OptResult", "optimize_capacitor", "optimize_capacitors"]
@@ -77,12 +77,13 @@ def optimize_capacitors(
     coefficients = [_coefficients(p) for p in lanes]
     lam, eta_p, k = np.array(coefficients).reshape(-1, 3).T[:, :, None]
     k_rows, row = np.unique(k, return_inverse=True)
-    # Every size below lies in [b_lo, b_hi], so none needs checking again.
-    # geomspace overflows inside near the top of the float range, and a beta
-    # or pi exponent that overflows gives an infinite or NaN age.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Every size below lies in [b_lo, b_hi], so the kernels take them
+    # unchecked. geomspace overflows inside near the top of the float range,
+    # a pi that underflows gives an infinite age, and a beta or pi exponent
+    # that overflows an infinite or NaN one.
+    with np.errstate(all="ignore"):
         grid = np.geomspace(b_lo, b_hi, _N_GRID)
-        vals = average_aoi(_beta(lam, eta_p, grid), _pi(k_rows[:, None], grid)[row.ravel()])
+        vals = _age(*_moments(_beta(lam, eta_p, grid)), _pi(k_rows[:, None], grid)[row.ravel()])
     # A NaN age, inf/inf where beta overflows, ranks as an infinite one.
     vals[np.isnan(vals)] = math.inf
     idx = np.argmin(vals, axis=1).tolist()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ _NAN = math.nan
 
 
 # Each range check is written so that NaN fails it, as it fails every
-# comparison.
+# comparison. An infinite beta is refused too: the age there is inf/inf.
 @pytest.mark.parametrize(
     "call, args",
     [
@@ -69,12 +70,23 @@ _NAN = math.nan
         (channel_rate_from_distance, (_NAN, 2.0)),
         (mean_peak_area, (_NAN, 2.0)),
         (mean_peak_area, (2.0, _NAN)),
+        (recharge_moments, (math.inf,)),
+        (recharge_moments, ([1.0, math.inf],)),
+        (interarrival_moments, (math.inf, 0.5)),
+        (average_aoi, (math.inf, 0.5)),
+        (average_aoi, ([1.0, math.inf], 0.5)),
+        (analytic_report, (math.inf, 0.5)),
+        (aoi_limit_ratio, (math.inf, 1.0, 1.0)),
+        (aoi_limit_ratio, (1e300, 1e300, 1.0)),  # beta overflows to inf
+        (recharge_pmf, (math.inf, [1, 2])),
     ],
     ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)),
 )
 def test_closed_forms_reject_nan(call, args):
-    with pytest.raises(ValueError):
-        call(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call(*args)
 
 
 def test_recharge_pmf_matches_poisson_library():

@@ -452,6 +452,43 @@ def test_search_commands_exit_with_documented_codes(command, values):
     _assert_documented_exit(argv, values, (0, 2, 3))
 
 
+def _run_json(argv):
+    """Exit code and parsed JSON output (None unless the exit code is 0)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli([*argv, "--format", "json"])
+    assert code in (0, 3), (argv, code, err.getvalue())
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+# The search ends on the bracket edge, where pi is so small that E[X^2]
+# overflows: optimize refuses the lane, and so must sweep-p.
+@example(P=1e6, r=16.55262478611857, B=1.0)
+@example(P=3.0, r=0.05, B=3e-4)
+@example(P=1e-300, r=0.05, B=3e-4)  # beta**2 overflows
+@example(P=3.0, r=0.05, B=5e-324)  # pi underflows
+@given(P=_EXTREMES, r=_EXTREMES, B=_EXTREMES)
+def test_sweeps_refuse_exactly_what_one_point_commands_refuse(P, r, B):
+    # One lane (P, r) at a time, each sweep against the command that
+    # evaluates its point alone: the same refusals, the same values.
+    code, rows = _run_json(["sweep-p", "--power-w", "3", f"--p-values={P!r}", f"--r-values={r!r}"])
+    opt_code, opt = _run_json(["optimize", f"--power-w={P!r}", f"--rate-bpcu={r!r}"])
+    assert code == opt_code
+    if code == 0:
+        (row,) = rows
+        assert (row["b_star"], row["delta_star"], row["beta"], row["pi"]) == (
+            opt["b_star_j"], opt["delta_star"], opt["beta"], opt["pi"]
+        )
+    lane = [f"--power-w={P!r}", f"--rate-bpcu={r!r}"]
+    code, rows = _run_json(["sweep-b", *lane, f"--b-values={B!r}"])
+    one_code, one = _run_json(["analytic", *lane, f"--capacitor-j={B!r}"])
+    assert code == one_code
+    if code == 0:
+        (row,) = rows
+        assert (row["beta"], row["pi"], row["delta_analytic"]) == (one["beta"], one["pi"], one["delta"])
+
+
 def _assert_documented_exit(argv, values, codes):
     # --flag=value, so that argparse reads a negative value as a value
     argv = [*argv, *(f"{flag}={value!r}" for flag, value in values.items())]

@@ -8,7 +8,6 @@ import pytest
 from wpaoi import (
     CSV_HEADER,
     SweepRow,
-    SweepSpec,
     ValidationReport,
     average_aoi,
     derive,
@@ -26,38 +25,30 @@ _B_GRID = (1e-4, 3.36e-4, 1e-3)
 _DELTAS = (622.36583866962915, 271.39091688037567, 386.681949809714)
 
 
-def _b_spec(ref_point, **kwargs):
-    return SweepSpec(
-        base=ref_point(), swept_field="capacitor_j", values=_B_GRID, **kwargs
-    )
-
-
 def test_sweep_spec_validation(ref_point):
-    with pytest.raises(ValueError):
-        SweepSpec(base=ref_point(), swept_field="noise_w", values=(1e-4,))
-    with pytest.raises(ValueError):
-        SweepSpec(base=ref_point(), swept_field="capacitor_j", values=())
-    with pytest.raises(ValueError):
-        SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(1e-3, 1e-4))
-    with pytest.raises(ValueError):
-        SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(-1e-4,))
-    # only capacitor and power sweeps exist
-    for field in ("distance", "rate_bpcu"):
-        with pytest.raises(ValueError):
-            SweepSpec(base=ref_point(), swept_field=field, values=(1.0,))
+    # Both sweeps check their values alike: non-empty, positive and
+    # finite, ascending.
+    for sweep in (sweep_aoi_vs_B, lambda base, values: sweep_minaoi_vs_P(base, values, [0.05])):
+        with pytest.raises(ValueError, match="values must be non-empty"):
+            sweep(ref_point(), ())
+        with pytest.raises(ValueError, match="values must be ascending"):
+            sweep(ref_point(), (1e-3, 1e-4))
+        with pytest.raises(ValueError, match="values must be positive and finite"):
+            sweep(ref_point(), (-1e-4,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sweep_values_must_be_finite(ref_point, bad):
     with pytest.raises(ValueError):
-        SweepSpec(base=ref_point(), swept_field="capacitor_j", values=(1e-4, bad))
-    spec = SweepSpec(base=ref_point(), swept_field="power_w", values=(1.0, 3.0))
+        sweep_aoi_vs_B(ref_point(), (1e-4, bad))
     with pytest.raises(ValueError):
-        sweep_minaoi_vs_P(spec, r_values=[0.05, bad])
+        sweep_minaoi_vs_P(ref_point(), (1.0, bad), r_values=[0.05])
+    with pytest.raises(ValueError):
+        sweep_minaoi_vs_P(ref_point(), (1.0, 3.0), r_values=[0.05, bad])
 
 
 def test_capacitor_sweep_analytic_rows(ref_point):
-    rows = sweep_aoi_vs_B(_b_spec(ref_point))
+    rows = sweep_aoi_vs_B(ref_point(), _B_GRID)
     assert [r.swept_value for r in rows] == list(_B_GRID)
     np.testing.assert_allclose([r.delta_analytic for r in rows], _DELTAS, rtol=1e-12)
     # interior minimum at the middle probe
@@ -70,7 +61,7 @@ def test_capacitor_sweep_equals_point_by_point_closed_forms(ref_point):
     # the 100 sizes of the benchmark's design session
     sizes = tuple(float(b) for b in np.geomspace(1e-6, 1e-1, 100))
     base = ref_point()
-    rows = sweep_aoi_vs_B(SweepSpec(base=base, swept_field="capacitor_j", values=sizes))
+    rows = sweep_aoi_vs_B(base, sizes)
     assert [r.swept_value for r in rows] == list(sizes)
     for row, b in zip(rows, sizes):
         d = derive(replace(base, capacitor_j=b))
@@ -82,27 +73,21 @@ def test_capacitor_sweep_underflow_raises_derive_error(ref_point):
     base = ref_point()
     with pytest.raises(ValueError) as expected:
         derive(replace(base, capacitor_j=1e-13))
-    spec = SweepSpec(base=base, swept_field="capacitor_j", values=(1e-13, 1e-12, 3e-4))
     with pytest.raises(ValueError) as raised:
-        sweep_aoi_vs_B(spec)
+        sweep_aoi_vs_B(base, (1e-13, 1e-12, 3e-4))
     assert str(raised.value) == str(expected.value)
     assert "capacitor_j 1e-13" in str(raised.value)
 
 
 def test_capacitor_sweep_monotone_when_threshold_vanishes(ref_point):
-    spec = SweepSpec(
-        base=ref_point(rate_bpcu=0.0),
-        swept_field="capacitor_j",
-        values=(1e-4, 3e-4, 1e-3, 3e-3, 1e-2),
-    )
-    deltas = [r.delta_analytic for r in sweep_aoi_vs_B(spec)]
+    rows = sweep_aoi_vs_B(ref_point(rate_bpcu=0.0), (1e-4, 3e-4, 1e-3, 3e-3, 1e-2))
+    deltas = [r.delta_analytic for r in rows]
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
-    assert all(r.pi == 1.0 for r in sweep_aoi_vs_B(spec))
+    assert all(r.pi == 1.0 for r in rows)
 
 
 def test_capacitor_sweep_with_simulation(ref_point):
-    spec = _b_spec(ref_point, with_simulation=True, horizon_slots=1_000_000, seed=9)
-    rows = sweep_aoi_vs_B(spec)
+    rows = sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=1_000_000, seed=9)
     for row in rows:
         assert row.sim_error is None
         assert row.delta_sim is not None and row.delta_sim_ci is not None
@@ -111,26 +96,13 @@ def test_capacitor_sweep_with_simulation(ref_point):
 
 
 def test_capacitor_sweep_flags_failed_points(ref_point):
-    spec = SweepSpec(
-        base=ref_point(),
-        swept_field="capacitor_j",
-        values=(3e-4, 0.5),
-        with_simulation=True,
-        horizon_slots=200_000,
-        seed=9,
-    )
-    rows = sweep_aoi_vs_B(spec)
+    rows = sweep_aoi_vs_B(ref_point(), (3e-4, 0.5), horizon=200_000, seed=9)
     assert rows[0].sim_error is None and rows[0].delta_sim is not None
     assert rows[1].sim_error is not None and rows[1].delta_sim is None
 
 
 def test_minimum_age_sweep_orderings(ref_point):
-    spec = SweepSpec(
-        base=ref_point(capacitor_j=1.0),
-        swept_field="power_w",
-        values=(1.0, 3.0),
-    )
-    rows = sweep_minaoi_vs_P(spec, r_values=[0.05, 0.1])
+    rows = sweep_minaoi_vs_P(ref_point(capacitor_j=1.0), (1.0, 3.0), r_values=[0.05, 0.1])
     assert len(rows) == 4
     assert [r.rate_bpcu for r in rows] == [0.05, 0.05, 0.1, 0.1]
     assert [r.swept_value for r in rows] == [1.0, 3.0, 1.0, 3.0]
@@ -150,8 +122,7 @@ def test_minimum_age_sweep_equals_lane_by_lane_closed_forms(ref_point):
     # the 25 powers x 2 spectral efficiencies of the benchmark's design session
     powers = tuple(float(p) for p in np.geomspace(0.1, 100.0, 25))
     base = ref_point(capacitor_j=1.0)
-    spec = SweepSpec(base=base, swept_field="power_w", values=powers)
-    rows = sweep_minaoi_vs_P(spec, r_values=[0.05, 0.1])
+    rows = sweep_minaoi_vs_P(base, powers, r_values=[0.05, 0.1])
     assert len(rows) == 50
     for row in rows:
         lane = replace(base, power_w=row.swept_value, rate_bpcu=row.rate_bpcu)
@@ -169,27 +140,37 @@ def test_minimum_age_sweep_underflow_raises_derive_error(ref_point):
         derive(replace(base, rate_bpcu=30.0, capacitor_j=1e-9))
     with pytest.raises(ValueError) as expected:
         optimize_capacitor(replace(base, rate_bpcu=30.0, power_w=1.0))
-    spec = SweepSpec(base=base, swept_field="power_w", values=(1.0, 3.0))
     with pytest.raises(ValueError) as raised:
-        sweep_minaoi_vs_P(spec, r_values=[0.05, 30.0])
+        sweep_minaoi_vs_P(base, (1.0, 3.0), r_values=[0.05, 30.0])
     assert str(raised.value) == str(expected.value)
     assert "finite age at power_w 1.0, rate_bpcu 30.0" in str(raised.value)
 
 
+def test_minimum_age_sweep_refuses_what_derive_refuses_at_b_star(ref_point):
+    # At r = 16.55 the search ends on the bracket's upper edge, where pi is
+    # so small that its square underflows and E[X^2] overflows; the lane at
+    # r = 0.05 before it is fine.
+    base = ref_point(capacitor_j=1.0)
+    lane = replace(base, power_w=1e6, rate_bpcu=16.55262478611857)
+    b_star = optimize_capacitor(lane).b_star_j
+    assert b_star == 1.0
+    with pytest.raises(ValueError) as expected:
+        derive(replace(lane, capacitor_j=b_star))
+    with pytest.raises(ValueError) as raised:
+        sweep_minaoi_vs_P(base, (1e6,), r_values=[0.05, 16.55262478611857])
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("E[X^2] overflows a float at pi ")
+
+
 def test_minimum_age_sweep_validates_inputs(ref_point):
-    spec = SweepSpec(base=ref_point(), swept_field="power_w", values=(1.0, 3.0))
     with pytest.raises(ValueError):
-        sweep_minaoi_vs_P(spec, r_values=[])
+        sweep_minaoi_vs_P(ref_point(), (1.0, 3.0), r_values=[])
     with pytest.raises(ValueError):
-        sweep_minaoi_vs_P(spec, r_values=[-0.05])
-    with pytest.raises(ValueError):
-        sweep_minaoi_vs_P(_b_spec(ref_point), r_values=[0.05])
-    with pytest.raises(ValueError):
-        sweep_aoi_vs_B(spec)
+        sweep_minaoi_vs_P(ref_point(), (1.0, 3.0), r_values=[-0.05])
 
 
 def test_csv_schema_and_exact_round_trip(ref_point):
-    rows = sweep_aoi_vs_B(_b_spec(ref_point))
+    rows = sweep_aoi_vs_B(ref_point(), _B_GRID)
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -205,15 +186,13 @@ def test_csv_schema_and_exact_round_trip(ref_point):
 
 
 def test_csv_output_is_reproducible(ref_point):
-    spec = _b_spec(ref_point, with_simulation=True, horizon_slots=100_000, seed=4)
-    first = rows_to_csv(sweep_aoi_vs_B(spec))
-    second = rows_to_csv(sweep_aoi_vs_B(spec))
+    first = rows_to_csv(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4))
+    second = rows_to_csv(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4))
     assert first == second
 
 
 def test_json_rows_carry_all_fields(ref_point):
-    spec = SweepSpec(base=ref_point(capacitor_j=1.0), swept_field="power_w", values=(3.0,))
-    rows = sweep_minaoi_vs_P(spec, r_values=[0.05])
+    rows = sweep_minaoi_vs_P(ref_point(capacitor_j=1.0), (3.0,), r_values=[0.05])
     payload = json.loads(rows_to_json(rows))
     assert payload[0]["rate_bpcu"] == 0.05
     assert payload[0]["b_star"] == pytest.approx(3.37026978103e-4, rel=5e-3)

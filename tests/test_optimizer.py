@@ -220,9 +220,12 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _ranked_age(params, b_j):
-    """The age, with NaN (inf/inf where beta overflows) ranked as infinite."""
-    age = _age(params, b_j)
-    return np.where(np.isnan(age), math.inf, age)
+    """The age, with inf/inf ranked as infinite: NaN where 2*E[T] overflows,
+    and the age of a beta that overflows, which the closed forms refuse."""
+    beta, pi = beta_pi(params, b_j)
+    overflows = np.isinf(beta)
+    age = average_aoi(np.where(overflows, 0.0, beta), pi)
+    return np.where(overflows | np.isnan(age), math.inf, age)
 
 
 def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
@@ -336,15 +339,18 @@ def test_search_equals_plain_reference_where_beta_overflows(ref_point, monkeypat
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             with pytest.raises(ValueError):
                 _reference_search(params, 1e-9, 1e30, n_grid=n_grid)
-    # Here beta overflows above ~4e302 J, so the top grid point's age is NaN,
-    # which an unordered argmin took for the minimum. Ranked as infinite, it
-    # leaves the finite middle point, and the golden steps start among NaN
-    # and infinite ages at both ends.
+    # Here beta overflows above ~4e302 J, so the top grid point's age is
+    # inf/inf: NaN in the search's kernels, which an unordered argmin took
+    # for the minimum, and refused by the closed forms. Ranked as infinite,
+    # it leaves the finite middle point, and the golden steps start among
+    # NaN and infinite ages at both ends.
     params = _search_point(ref_point)
     monkeypatch.setattr(optimizer, "_N_GRID", 3)
     result = optimize_capacitor(params, 1e-300, 1e303)
+    assert beta_pi(params, 1e303)[0] == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        _age(params, 1e303)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        assert math.isnan(_age(params, 1e303))
         assert result == _reference_search(params, 1e-300, 1e303, n_grid=3)
     assert result.converged and math.isfinite(result.delta_star)
     assert result.delta_star == pytest.approx(_DELTA_STAR_P3, rel=5e-3)

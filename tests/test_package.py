@@ -47,4 +47,8 @@ def test_public_signatures():
     assert names(wpaoi.simulate) == names(wpaoi.sample_events) == ["config"]
     assert names(wpaoi.optimize_capacitor) == ["params", "b_lo", "b_hi", "tol_rel"]
     assert names(wpaoi.optimize_capacitors) == ["lanes", "b_lo", "b_hi", "tol_rel"]
-    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 41
+    # The sweeps take their values directly; no horizon means no simulation.
+    assert names(wpaoi.sweep_aoi_vs_B) == ["base", "b_values", "horizon", "seed"]
+    assert inspect.signature(wpaoi.sweep_aoi_vs_B).parameters["horizon"].default is None
+    assert names(wpaoi.sweep_minaoi_vs_P) == ["base", "p_values", "r_values"]
+    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 40
