@@ -45,7 +45,6 @@ from .simulator import (
     NoSuccessError,
     SimConfig,
     SimStats,
-    Warmup,
     batch_ci,
     sample_events,
     simulate,
@@ -69,7 +68,6 @@ __all__ = [
     "SystemParams",
     "ValidationReport",
     "ValidationRow",
-    "Warmup",
     "analytic_report",
     "aoi_limit_fixed_B",
     "aoi_limit_ratio",

@@ -207,20 +207,24 @@ def _x2_overflows(beta, pi):
 
 def _age(e_t, e_t2, pi):
     """The average age from the recharge moments, on floats or arrays,
-    unchecked; a float pi must be positive."""
-    return e_t2 / (2.0 * e_t) + e_t * (1.0 - pi) / pi + 0.5
+    unchecked; a float pi must be positive. E[T^2]/E[T] is halved after the
+    division, which rounds alike wherever 2*E[T] is finite and keeps the
+    term inf, not inf/inf, where only E[T^2] overflows."""
+    return e_t2 / e_t * 0.5 + e_t * (1.0 - pi) / pi + 0.5
 
 
 def recharge_moments(beta):
     """First and second moments of the recharge time T.
 
-    Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2). An infinite
-    beta, whose age is inf/inf, raises ValueError, as does a negative one.
+    Returns (E[T], E[T^2]) = (1 + beta, 1 + 3*beta + beta**2); past beta
+    ~1.3e154 E[T^2] overflows to inf. An infinite beta, whose age is
+    inf/inf, raises ValueError, as does a negative one.
     """
     b = np.asarray(beta, dtype=float)
     if not ((b >= 0.0) & (b < math.inf)).all():
         raise ValueError(f"beta must be non-negative and finite, got {beta}")
-    e_t, e_t2 = _moments(b)
+    with np.errstate(over="ignore"):
+        e_t, e_t2 = _moments(b)
     if np.ndim(beta) == 0:
         return float(e_t), float(e_t2)
     return e_t, e_t2
@@ -242,7 +246,9 @@ def interarrival_moments(beta, pi):
     """
     e_t, e_t2 = recharge_moments(beta)
     _check_pi(pi)
-    e_x, e_x2 = _x_moments(e_t, e_t2, np.asarray(pi, dtype=float))
+    # A moment that overflows is inf.
+    with np.errstate(over="ignore"):
+        e_x, e_x2 = _x_moments(e_t, e_t2, np.asarray(pi, dtype=float))
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
         return float(e_x), float(e_x2)
     return e_x, e_x2

@@ -34,14 +34,7 @@ from .experiments import (
 )
 from .model import build_params, dbm_to_watts, derive
 from .optimizer import optimize_capacitor
-from .simulator import (
-    NoSuccessError,
-    SimConfig,
-    Warmup,
-    simulate,
-    summarize,
-    write_trace,
-)
+from .simulator import NoSuccessError, SimConfig, simulate, summarize, write_trace
 
 __all__ = ["run_cli", "main"]
 
@@ -121,8 +114,7 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    warmup = Warmup.FULL_HORIZON if args.warmup == "full" else Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
-    config = SimConfig(params, args.horizon, args.seed, warmup=warmup)
+    config = SimConfig(params, args.horizon, args.seed)
     # A point derive refuses is refused before any slot is drawn.
     d = derive(params)
     if args.trace is None:
@@ -130,14 +122,15 @@ def _cmd_simulate(args) -> int:
     else:
         # The statistics describe the realization in the trace file: the
         # events come from the rows as they are written.
-        stats = summarize(write_trace(config, args.trace), config.warmup)
+        stats = summarize(write_trace(config, args.trace))
     payload = {
         "beta": d.beta,
         "pi": d.pi,
         **asdict(stats),
         "horizon_slots": args.horizon,
         "seed": args.seed,
-        "warmup": warmup.value,
+        # the window the statistics describe
+        "warmup": "first_success_to_last_success",
     }
     _emit_payload(payload, args.format or "json", args.out)
     return 0
@@ -182,8 +175,9 @@ def _cmd_validate(args) -> int:
     report = validation_report(params, args.horizon, args.seed)
     print(format_validation_report(report), end="", file=sys.stderr)
     if report.sim_error is not None:
-        counts = (report.n_recharges, report.n_attempts, report.n_successes, report.horizon_slots)
-        raise NoSuccessError(report.sim_error, *counts)
+        # sim_error already carries the run's counters
+        print(f"error: {report.sim_error}", file=sys.stderr)
+        return 4
     if args.format == "csv":
         records = [asdict(row) for row in report.rows]
         _emit(_csv(records[0], (record.values() for record in records)), args.out)
@@ -212,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physical_flags(p, need_capacitor=True)
     p.add_argument("--horizon", type=int, default=1_000_000, help="slots to simulate (default 1e6)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--warmup", choices=("window", "full"), default="window",
-                   help="measure between first and last decoded update, or over the full horizon")
     p.add_argument("--trace", default=None,
                    help="run the slot dynamics slot by slot, write their per-slot CSV trace "
                    "here and take the statistics from it (slow; use short horizons)")

@@ -27,7 +27,7 @@ import numpy as np
 from .analytics import analytic_report, average_aoi
 from .model import SystemParams, _refuse, beta_pi, derive
 from .optimizer import optimize_capacitors
-from .simulator import NoSuccessError, SimConfig, Warmup, _cycle_sums, sample_events, simulate
+from .simulator import NoSuccessError, SimConfig, _cycle_sums, sample_events, simulate
 
 __all__ = [
     "SweepRow",
@@ -249,13 +249,13 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     the interarrival times, so the moment rows carry i.i.d. 95% half-widths;
     the age row carries the regenerative one of
     :class:`~wpaoi.simulator.SimStats`. A run with too few decoded updates
-    produces a report with no rows and the failure recorded in
-    ``sim_error``.
+    produces a report with no rows and, in ``sim_error``, the message and
+    counters of the :class:`~wpaoi.simulator.NoSuccessError` that
+    :func:`~wpaoi.simulator.summarize` would raise.
     """
     d = derive(params)
     ref = analytic_report(d.beta, d.pi)
-    warmup = Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
-    sums = _cycle_sums(sample_events(SimConfig(params, horizon, seed, warmup=warmup)))
+    sums = _cycle_sums(sample_events(SimConfig(params, horizon, seed)))
     counts = {
         "n_recharges": sums.n_fills,
         "n_attempts": sums.n_attempts,
@@ -263,17 +263,10 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
         "horizon_slots": horizon,
         "seed": seed,
     }
-    if sums.n_successes < 2:
-        return ValidationReport(
-            rows=(),
-            all_passed=False,
-            **counts,
-            sim_error=(
-                f"fewer than two decoded updates (recharges={sums.n_fills}, "
-                f"successes={sums.n_successes}); nothing to validate"
-            ),
-        )
-    stats = sums.stats(warmup)
+    try:
+        stats = sums.stats()
+    except NoSuccessError as exc:
+        return ValidationReport(rows=(), all_passed=False, **counts, sim_error=str(exc))
     measured = (
         ("e_t", ref.e_t, stats.t_samples_mean, 0.02),
         ("e_t2", ref.e_t2, stats.t_samples_m2, 0.02),
@@ -281,7 +274,7 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
         ("e_x2", ref.e_x2, stats.x_samples_m2, 0.02),
         ("delta", ref.delta, stats.delta_hat, 0.01),
     )
-    halves = (*sums.moment_halves(warmup), stats.delta_ci_half)
+    halves = (*sums.moment_halves(), stats.delta_ci_half)
     rows = []
     for (name, target, empirical, tol), half in zip(measured, halves):
         rel = abs(empirical - target) / target

@@ -63,7 +63,8 @@ def optimize_capacitors(
     success probability underflows counts as an infinite age, and so does
     one whose beta overflows, where the age is NaN. Golden section search
     then shrinks each lane's bracketing triple until its width relative to
-    the candidate is below ``tol_rel``.
+    the candidate is below ``tol_rel``, or until a step no longer narrows
+    it, which a ``tol_rel`` below float resolution reaches first.
 
     If the scan puts a lane's minimum on the first or last grid point the
     true minimizer is (or may be) outside the interval; the grid point is
@@ -115,6 +116,7 @@ def _refine(lam, eta_p, k, grid, i, grid_min, tol_rel) -> OptResult:
     f1, f2 = age(x1), age(x2)
     evaluations = n_grid + 2
     while (c - a) > tol_rel * x1:
+        width = c - a
         if f1 <= f2:
             # keep [a, x2] and probe a new x1
             c, x2, f2 = x2, x1, f1
@@ -126,6 +128,9 @@ def _refine(lam, eta_p, k, grid, i, grid_min, tol_rel) -> OptResult:
             x2 = a + _INVPHI * (c - a)
             f2 = age(x2)
         evaluations += 1
+        # Below float resolution a step may leave the bracket as it was.
+        if not c - a < width:
+            break
     b_star, delta_star = (x1, f1) if f1 <= f2 else (x2, f2)
     return OptResult(b_star, delta_star, evaluations, (a, c), converged=True)
 

@@ -39,11 +39,13 @@ from the decode stream reaches a cut found once per operating point; that
 gives, bit for bit, the outcomes of computing the channel gain of every
 attempt, as :func:`trace_rows` does.
 
-The statistics come from one streaming reduction. The average age is a
-renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X], so a
-run needs running sums over its cycles, not its event log: the reduction
-takes the fills a chunk at a time, carries the open cycle and the
-measurement window across chunk edges, and keeps the cycle count and the
+The statistics come from one streaming reduction over one measurement
+window, from the first to the last decoded update. The average age is a
+renewal-reward ratio over the interarrival cycles, E[X(X+1)/2] / E[X]; the
+window holds whole cycles only, so its per-slot age average is that ratio
+exactly. A run thus needs running sums over its cycles, not its event
+log: the reduction takes the fills a chunk at a time, carries the open
+cycle and the window across chunk edges, and keeps the cycle count and the
 power sums of the recharge and interarrival times, taken about the first
 one of each so that they do not cancel. Wherever the exact sum of the
 fourth powers stays below 2^53, so do all float partial sums, and the sums
@@ -57,7 +59,6 @@ sampler, so its memory stays bounded however long the horizon;
 from __future__ import annotations
 
 import csv
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ from .analytics import recharge_pmf
 from .model import SystemParams, _snr_threshold, beta_pi
 
 __all__ = [
-    "Warmup",
     "SimConfig",
     "SimStats",
     "EventLog",
@@ -117,30 +117,18 @@ _TABLE_BETA = 1.0
 _TABLE_FILLS = 64
 
 
-class Warmup(enum.Enum):
-    """Measurement windowing policy.
-
-    FIRST_SUCCESS_TO_LAST_SUCCESS restricts every statistic to the window
-    between the first and the last decoded update, which removes the start-up
-    and tail bias and makes the per-slot age average identical, in exact
-    integer arithmetic, to the triangular-area decomposition over cycles.
-
-    FULL_HORIZON averages over every slot of the run, counting the initial
-    charge-up and the unfinished tail.
-    """
-
-    FIRST_SUCCESS_TO_LAST_SUCCESS = "first_success_to_last_success"
-    FULL_HORIZON = "full_horizon"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     params: SystemParams
     horizon_slots: int
     seed: int
-    warmup: Warmup = Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS
 
     def __post_init__(self) -> None:
+        # int() would truncate a float or take a bool as 0 or 1.
+        for name in ("horizon_slots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # Below 2^62 the renewal engine's running sums of capped recharge
         # times stay in int64 until they pass the horizon.
         if not 1 <= self.horizon_slots < _MAX_HORIZON:
@@ -156,10 +144,13 @@ class SimStats:
     """Empirical counterparts of the closed-form quantities.
 
     The sample moments are raw moments (``t_samples_m2`` is the mean of T
-    squared, not a variance). ``delta_ci_half`` and the moments refer to the
-    measurement window selected by the warmup policy; the counters of fills
-    (``n_recharges``), transmission attempts and decoded updates refer to the
-    whole run.
+    squared, not a variance). The age, its half-width, the moments and
+    ``n_slots_measured`` refer to the measurement window from the first to
+    the last decoded update, which holds whole interarrival cycles only; the
+    counters of fills (``n_recharges``), transmission attempts and decoded
+    updates refer to the whole run. The per-slot age average over the whole
+    horizon, start-up and unfinished tail included, is the mean of the
+    ``age`` column that :func:`write_trace` writes.
 
     ``delta_ci_half`` is the 95% half-width of the regenerative ratio
     estimator (Crane and Iglehart 1975; Asmussen and Glynn, Stochastic
@@ -633,16 +624,15 @@ class _CycleSums:
 
     The counters cover the whole run. The decoded update of fill index a
     (0-based), at fill slot u, closes an interarrival cycle; ``first_*`` and
-    ``last_*`` are the first and the last one. The recharge-time sums are
-    split at those two fills: ``t_head`` covers the fills up to and including
-    the first decoded update, ``t_window`` the fills after it up to and
-    including the last, ``t_tail`` the rest. ``x_window`` covers the
-    interarrival times between decoded updates. Each holds the sums of y^2
-    (an exact integer), y^3 and y^4 of :func:`_power_sums`, where y is T
-    less the first recharge time (``first_fill``) or X less the first
-    interarrival time, counted from the origin (``first_update_fill``).
-    Counts, plain sums and attempt totals follow exactly from the fill
-    slots and indices.
+    ``last_*`` are the first and the last one, and the measurement window
+    runs between them. ``t_window`` covers the recharge times of the fills
+    after the first decoded update up to and including the last, and
+    ``x_window`` the interarrival times between decoded updates. Each holds
+    the sums of y^2 (an exact integer), y^3 and y^4 of :func:`_power_sums`,
+    where y is T less the run's first recharge time (``first_fill``) or X
+    less the first interarrival time, counted from the origin
+    (``first_update_fill``). Counts, plain sums and attempt totals follow
+    exactly from the fill slots and indices.
     """
 
     horizon_slots: int
@@ -650,68 +640,59 @@ class _CycleSums:
     n_attempts: int
     n_successes: int
     first_fill: int
-    last_fill: int
     first_update_fill: int
     first_update_index: int
     last_update_fill: int
     last_update_index: int
-    t_head: tuple
     t_window: tuple
-    t_tail: tuple
     x_window: tuple
 
-    def _measured(self, warmup: Warmup):
+    def _measured(self):
         """(n, sum, shift, then the sums of :func:`_power_sums`) of the
-        recharge and of the interarrival times in the measurement window of
-        ``warmup``, the attempts its updates took, its age and its slots."""
-        counts = (self.n_fills, self.n_attempts, self.n_successes, self.horizon_slots)
-        if self.n_successes == 0:
-            raise NoSuccessError("no decoded update in horizon", *counts)
-        u0, a0 = self.first_update_fill, self.first_update_index
-        u1, a1 = self.last_update_fill, self.last_update_index
+        recharge and of the interarrival times in the measurement window."""
+        if self.n_successes < 2:
+            message = (
+                "fewer than two decoded updates, measurement window is empty"
+                if self.n_successes
+                else "no decoded update in horizon"
+            )
+            raise NoSuccessError(
+                message, self.n_fills, self.n_attempts, self.n_successes, self.horizon_slots
+            )
+        u0, u1 = self.first_update_fill, self.last_update_fill
+        n_t = self.last_update_index - self.first_update_index
+        t = (n_t, u1 - u0, self.first_fill, *self.t_window)
+        # The first cycle runs from the origin; it is u0, the shift of x, and
+        # lies outside the window.
         x = (self.n_successes - 1, u1 - u0, u0, *self.x_window)
-        area = (_square_total(*x) + u1 - u0) // 2
-        if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
-            if self.n_successes < 2:
-                raise NoSuccessError(
-                    "fewer than two decoded updates, measurement window is empty", *counts
-                )
-            t = (a1 - a0, u1 - u0, self.first_fill, *self.t_window)
-            return t, x, a1 - a0, float(area) / float(u1 - u0), u1 - u0
-        # Every slot: the charge-up leads in with ages 2, ..., u0 + 1 up to
-        # the first update's slot and the unfinished tail climbs to the
-        # horizon, both in closed form. The first cycle runs from the origin;
-        # it is u0, the shift of x, so it adds to no power sum.
-        horizon = self.horizon_slots
-        head = (u0 + 1) * (u0 + 2) // 2 - 1
-        tail = (horizon - u1) * (horizon - u1 + 1) // 2
-        t_sums = _add(self.t_head, self.t_window, self.t_tail)
-        t = (self.n_fills, self.last_fill, self.first_fill, *t_sums)
-        x = (self.n_successes, u1, *x[2:])
-        return t, x, a1 + 1, float(head + area + tail) / float(horizon), horizon
+        return t, x
 
-    def stats(self, warmup: Warmup) -> SimStats:
-        """The statistics of :func:`summarize` over the window of ``warmup``."""
-        t, x, m, delta_hat, n_slots = self._measured(warmup)
+    def stats(self) -> SimStats:
+        """The statistics of :func:`summarize`. The window's updates took
+        one attempt per fill in it, and its age total is the sum of the
+        cycles' X(X+1)/2."""
+        t, x = self._measured()
+        n_slots = x[1]
+        area = (_square_total(*x) + n_slots) // 2
         return SimStats(
-            delta_hat=delta_hat,
+            delta_hat=float(area) / float(n_slots),
             delta_ci_half=_ratio_half(*x),
             t_samples_mean=float(t[1]) / t[0],
             t_samples_m2=float(_square_total(*t)) / t[0],
             x_samples_mean=float(x[1]) / x[0],
             x_samples_m2=float(_square_total(*x)) / x[0],
-            m_mean=float(m) / x[0],
+            m_mean=float(t[0]) / x[0],
             n_recharges=self.n_fills,
             n_attempts=self.n_attempts,
             n_successes=self.n_successes,
             n_slots_measured=n_slots,
         )
 
-    def moment_halves(self, warmup: Warmup) -> tuple[float, float, float, float]:
-        """95% half-widths of the means of T, T^2, X and X^2 in the window of
-        ``warmup``. The recharge times are i.i.d., and so are the
-        interarrival times, so each is an i.i.d. interval."""
-        t, x, *_ = self._measured(warmup)
+    def moment_halves(self) -> tuple[float, float, float, float]:
+        """95% half-widths of the means of T, T^2, X and X^2 in the window.
+        The recharge times are i.i.d., and so are the interarrival times, so
+        each is an i.i.d. interval."""
+        t, x = self._measured()
         return (*_moment_halves(*t), *_moment_halves(*x))
 
 
@@ -721,13 +702,14 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
     short of its fills only at the end of the run.
 
     The sums of the fills after the latest decoded update stay in ``tail``
-    until the next one moves them into the window (or, at the first one,
-    into the head), so the window never needs to look back.
+    until the next one moves them into the window, so the window never
+    needs to look back. The fills up to the first decoded update lie
+    outside the window and add to no sum.
     """
     n_fills = n_attempts = n_successes = 0
     first_fill = last_fill = 0
     first = last = (0, -1)
-    head = window = tail = x_window = _NO_SUMS
+    window = tail = x_window = _NO_SUMS
     for fills, success in chunks:
         t = _steps(fills, last_fill)
         if t.min() < 1:
@@ -743,8 +725,6 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
             if not n_successes:
                 j = int(hits[0]) + 1
                 first = last = (int(updates[0]), n_fills + j - 1)
-                head = _add(tail, _power_sums(t[:j], first_fill))
-                tail = _NO_SUMS
             i = int(hits[-1])
             window = _add(window, tail, _power_sums(t[j : i + 1], first_fill))
             tail = _power_sums(t[i + 1 :], first_fill)
@@ -752,14 +732,13 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
             x_window = _add(x_window, _power_sums(x, first[0]))
             last = (int(updates[-1]), n_fills + i)
             n_successes += hits.size
-        else:
+        elif n_successes:
             tail = _add(tail, _power_sums(t, first_fill))
         n_fills += fills.size
         n_attempts += success.size
         last_fill = int(fills[-1])
     return _CycleSums(
-        horizon, n_fills, n_attempts, n_successes, first_fill, last_fill,
-        *first, *last, head, window, tail, x_window,
+        horizon, n_fills, n_attempts, n_successes, first_fill, *first, *last, window, x_window
     )
 
 
@@ -778,38 +757,34 @@ def _cycle_sums(log: EventLog) -> _CycleSums:
     return _reduce(chunks, log.horizon_slots)
 
 
-def summarize(log: EventLog, warmup: Warmup) -> SimStats:
-    """Reduce an event log to empirical statistics over the measurement
-    window of ``warmup``.
+def summarize(log: EventLog) -> SimStats:
+    """Reduce an event log to empirical statistics over its measurement
+    window, from the first to the last decoded update.
 
-    Under the default warmup the window runs from the first to the last
-    decoded update, and the age average equals the closed decomposition
-    sum(X*(X+1)/2)/sum(X) over the windowed cycles as an exact integer
-    identity. Under FULL_HORIZON the window is every slot and every cycle:
-    the initial charge-up ages lead in with ages 2, 3, ... up to the first
-    update and the unfinished tail keeps climbing to the horizon, both
-    evaluated in closed form. The confidence half-width is the regenerative
-    one described under :class:`SimStats`.
+    The window holds whole interarrival cycles, so its age average equals
+    the renewal-reward ratio sum(X*(X+1)/2)/sum(X) over them as an exact
+    integer identity. The confidence half-width is the regenerative one
+    described under :class:`SimStats`.
 
     Raises
     ------
     NoSuccessError
-        If no update is decoded, or under the windowed warmup if fewer than
-        two are (no complete cycle fits in the window).
+        If fewer than two updates are decoded (no complete cycle fits in the
+        window).
     ValueError
         If the log is structurally inconsistent.
     """
-    return _cycle_sums(log).stats(warmup)
+    return _cycle_sums(log).stats()
 
 
 def simulate(config: SimConfig) -> SimStats:
     """Sample one run with the renewal engine and reduce it as it is drawn.
 
-    The result equals ``summarize(sample_events(config), config.warmup)``,
-    but the event log is never held: memory stays at a few chunks of fills
-    however long the horizon.
+    The result equals ``summarize(sample_events(config))``, but the event
+    log is never held: memory stays at a few chunks of fills however long
+    the horizon.
     """
-    return _reduce(_event_chunks(config), config.horizon_slots).stats(config.warmup)
+    return _reduce(_event_chunks(config), config.horizon_slots).stats()
 
 
 def trace_rows(config: SimConfig):

@@ -278,7 +278,7 @@ def test_criterion_7_windowed_estimate_is_exact(capsys):
             assert int((x * (x + 1) // 2).sum()) == window_sum
             assert int(x.sum()) == last - first
 
-            stats = summarize(sample_slot_events(config), config.warmup)
+            stats = summarize(sample_slot_events(config))
             assert stats.n_slots_measured == last - first
             assert stats.delta_hat == window_sum / (last - first)
             assert stats.delta_hat == empirical_aoi(x)

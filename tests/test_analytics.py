@@ -204,6 +204,30 @@ def test_interarrival_moments_at_pi_one_where_two_e_t_squared_overflows():
     assert not _x2_overflows(np.array(betas), np.ones(3)).any()
 
 
+@pytest.mark.parametrize("beta", [1e200, 9e307, 1.7e308])
+def test_closed_forms_overflow_to_inf_at_a_huge_finite_beta(beta):
+    # E[T^2] overflows from beta ~1.34e154 and 2*E[T] from ~9e307; the
+    # moments that overflow and the age are inf, without a warning
+    assert recharge_moments(beta) == (1.0 + beta, math.inf)
+    assert average_aoi(beta, 0.5) == average_aoi(beta, 1.0) == math.inf
+    assert interarrival_moments(beta, 0.5)[1] == math.inf
+    report = analytic_report(beta, 0.5)
+    assert report.e_t2 == report.e_x2 == report.e_q == report.delta == math.inf
+    delta = average_aoi(np.array([1.0, beta]), np.array([0.5, 1.0]))
+    assert delta.tolist() == [average_aoi(1.0, 0.5), math.inf]
+
+
+def test_average_aoi_halves_the_ratio_exactly():
+    # E[T^2]/E[T]*0.5 rounds as E[T^2]/(2*E[T]) wherever 2*E[T] is finite
+    rng = np.random.default_rng(5)
+    beta = np.concatenate([10.0 ** rng.uniform(-12.0, 307.0, 20_000), [8.9e307]])
+    pi = rng.uniform(1e-6, 1.0, beta.size)
+    with np.errstate(over="ignore"):
+        e_t, e_t2 = 1.0 + beta, 1.0 + 3.0 * beta + beta * beta
+        plain = e_t2 / (2.0 * e_t) + e_t * (1.0 - pi) / pi + 0.5
+    assert np.array_equal(average_aoi(beta, pi), plain)
+
+
 def test_interarrival_moments_monte_carlo():
     # X as a geometric number of independent recharge times, built from raw
     # draws: attempts ~ Geometric(pi), each recharge 1 + Poisson(beta).

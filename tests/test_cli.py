@@ -144,11 +144,11 @@ def test_simulate_csv_counts_attempts(capsys):
 
 
 def test_simulate_full_horizon_flag(capsys):
+    # One measurement window: the full-horizon average is the mean of the
+    # age column that --trace writes, and --warmup is a usage error.
     code = run_cli(["simulate", *_TOY, "--horizon", "50000", "--seed", "11", "--warmup", "full"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["n_slots_measured"] == 50000
-    assert payload["warmup"] == "full_horizon"
+    assert code == 2
+    assert "unrecognized arguments: --warmup full" in capsys.readouterr().err
 
 
 def test_simulate_writes_trace(tmp_path, capsys):
@@ -335,6 +335,21 @@ def test_validate_no_success_exit_code(capsys):
     assert code == 4
 
 
+def test_validate_without_updates_prints_counters_once(capsys):
+    # One fill, one failed attempt: validate refuses the run with the very
+    # line simulate prints for it.
+    argv = ["--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "300", "--seed", "1"]
+    assert run_cli(["simulate", *argv]) == 4
+    expected = capsys.readouterr().err
+    assert expected == (
+        "error: no decoded update in horizon (recharges=1, attempts=1, successes=0, slots=300)\n"
+    )
+    assert run_cli(["validate", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines(keepends=True)[-1] == expected
+
+
 def test_validate_single_success_reports_attempts(capsys):
     # Cut the horizon at the fill of the second decoded update, so its
     # attempt falls outside and exactly one update is decoded.
@@ -404,7 +419,8 @@ def test_repeated_calls_match_a_fresh_process(tmp_path, capsys):
     [
         ["analytic", "--power-w", "3", "--capacitor-j", "3e-4"],
         ["simulate", "--power-w", "300", "--capacitor-j", "3e-4", "--horizon", "100000"],
-        ["simulate", *_TOY, "--horizon", "3", "--warmup", "full"],
+        # one cycle in the window, so a nan half-width
+        ["simulate", *_TOY, "--horizon", "5"],
         ["optimize", "--power-w", "3"],
         ["optimize", "--power-w", "3", "--b-lo", "3e-3", "--b-hi", "3.0003e-3"],
         ["sweep-b", "--power-w", "3", "--b-values", "1e-5,3e-4", "--with-sim", "--horizon", "300"],
@@ -427,7 +443,9 @@ _EXTREMES = st.one_of(
     ]),
     st.floats(),
 )
-_SEARCH_FLAGS = ["--b-lo", "--b-hi", "--rate-bpcu", "--noise-dbm", "--power-w", "--p-values", "--r-values"]
+_SEARCH_FLAGS = [
+    "--b-lo", "--b-hi", "--tol-rel", "--rate-bpcu", "--noise-dbm", "--power-w", "--p-values", "--r-values",
+]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

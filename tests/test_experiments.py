@@ -10,6 +10,8 @@ from wpaoi import (
     SweepRow,
     ValidationReport,
     average_aoi,
+    build_params,
+    dbm_to_watts,
     derive,
     format_validation_report,
     optimize_capacitor,
@@ -332,6 +334,41 @@ def test_validation_report_reference_point(ref_point):
     report = validation_report(ref_point(), horizon=10_000_000, seed=9)
     assert report.sim_error is None
     assert report.all_passed
+
+
+# The benchmark's mc_high_power op: P = 300 W, B = 3e-4 J, 20 m, -50 dBm,
+# r = 0.05, 1e6 slots, op seeds seed*1_000_000 + index. Per seed: the
+# counters, then (empirical, ci_half) of e_t, e_t2, e_x, e_x2 and delta.
+_HIGH_POWER_PINS = {
+    7_000_000: ((407070, 407069, 173070), (
+        (2.4565833142946985, 0.003709845307354263), (7.493213647876148, 0.02282875940351754),
+        (5.77800761545973, 0.02236039945570256), (55.91114526576106, 0.5126598646320506),
+        (5.3382720296321775, 0.028373070705736702),
+    )),
+    7_000_001: ((407365, 407364, 172919), (
+        (2.4548016496465044, 0.0036916405038735093), (7.471224469756481, 0.022659739679425306),
+        (5.783018540579928, 0.022576658648213187), (56.38686545067604, 0.5261028819412611),
+        (5.375210502526031, 0.02928417520207549),
+    )),
+    7_000_002: ((407401, 407401, 173480), (
+        (2.454579819144027, 0.0036986392163579594), (7.475748411864623, 0.022716866847980334),
+        (5.7643057661157835, 0.022340612924506238), (55.7664155315629, 0.5128033892563547),
+        (5.3372187210620945, 0.028492240347653987),
+    )),
+}
+
+
+def test_high_power_reports_are_pinned():
+    # The reduction behind the benchmark's validate op, bit for bit; the
+    # analytic column and the verdicts follow from these.
+    params, _ = build_params(
+        power_w=300.0, capacitor_j=3e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
+    )
+    for seed, (counts, rows) in _HIGH_POWER_PINS.items():
+        report = validation_report(params, 1_000_000, seed)
+        assert (report.n_recharges, report.n_attempts, report.n_successes) == counts
+        assert tuple((row.empirical, row.ci_half) for row in report.rows) == rows
+        assert report.all_passed and report.sim_error is None
 
 
 def test_validation_report_without_successes(ref_point):

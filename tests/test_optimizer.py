@@ -1,5 +1,9 @@
+import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -232,8 +236,8 @@ def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
     """The search written plainly for one lane, with every evaluation a call
     of the public closed forms: the grid in one array call, whose entries
     equal scalar calls bit for bit, and the golden section steps on floats.
-    A NaN age ranks as an infinite one, and a grid without a finite age has
-    no minimum."""
+    A NaN age ranks as an infinite one, a grid without a finite age has no
+    minimum, and the steps end once one leaves the bracket as it was."""
     grid = np.geomspace(b_lo, b_hi, n_grid)
     vals = _ranked_age(params, grid).tolist()
     grid = grid.tolist()
@@ -247,6 +251,7 @@ def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
     f1, f2 = float(_ranked_age(params, x1)), float(_ranked_age(params, x2))
     evaluations = n_grid + 2
     while c - a > tol_rel * x1:
+        width = c - a
         if f1 <= f2:
             c, x2, f2 = x2, x1, f1
             x1 = a + _INVPHI2 * (c - a)
@@ -256,6 +261,8 @@ def _reference_search(params, b_lo=1e-9, b_hi=1.0, tol_rel=1e-6, n_grid=256):
             x2 = a + _INVPHI * (c - a)
             f2 = float(_ranked_age(params, x2))
         evaluations += 1
+        if not c - a < width:
+            break
     if f1 <= f2:
         return OptResult(x1, f1, evaluations, (a, c), converged=True)
     return OptResult(x2, f2, evaluations, (a, c), converged=True)
@@ -290,6 +297,36 @@ def _random_lanes(n, seed):
 )
 def test_search_equals_plain_reference(lanes, bounds):
     assert optimize_capacitors(lanes, *bounds) == [_reference_search(p, *bounds) for p in lanes]
+
+
+def test_search_ends_below_float_resolution(ref_point):
+    # Below ~1e-16 the golden bracket stops shrinking before its width
+    # falls under tol_rel times the candidate. The searches run in a child
+    # process with a timeout, so a search that never ends fails the test
+    # rather than hanging the suite.
+    lanes = [_search_point(ref_point), *_random_lanes(20, 7)]
+    tols = [1e-16, 1e-17, 1e-300, 5e-324]
+    script = (
+        "import dataclasses, json, sys\n"
+        "import wpaoi\n"
+        "lanes = [wpaoi.SystemParams(**p) for p in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[dataclasses.astuple(r) for r in\n"
+        "    wpaoi.optimize_capacitors(lanes, 1e-9, 1.0, tol)] for tol in json.loads(sys.argv[2])]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(optimizer.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = [json.dumps([asdict(p) for p in lanes]), json.dumps(tols)]
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    for tol, results in zip(tols, json.loads(run.stdout)):
+        for p, (b, delta, evaluations, (a, c), converged, on_boundary) in zip(lanes, results):
+            result = OptResult(b, delta, evaluations, (a, c), converged, on_boundary)
+            assert result == _reference_search(p, tol_rel=tol)
+            assert evaluations < 400
+            # an interior search ends on a bracket a few floats wide
+            assert on_boundary or c - a <= 4 * math.ulp(b)
 
 
 def test_search_equals_plain_reference_on_the_edges(ref_point):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -39,16 +40,19 @@ def test_import_loads_nothing_beyond_its_dependencies():
 
 
 def test_public_signatures():
-    # The engine has no chunk-size knob and the search no grid-size knob:
-    # both are fixed module constants.
+    # The engine has no chunk-size knob, the search no grid-size knob and a
+    # run no windowing knob.
     def names(f):
         return list(inspect.signature(f).parameters)
 
     assert names(wpaoi.simulate) == names(wpaoi.sample_events) == ["config"]
+    # One measurement window, from the first to the last decoded update.
+    assert names(wpaoi.summarize) == ["log"]
+    assert [f.name for f in dataclasses.fields(wpaoi.SimConfig)] == ["params", "horizon_slots", "seed"]
     assert names(wpaoi.optimize_capacitor) == ["params", "b_lo", "b_hi", "tol_rel"]
     assert names(wpaoi.optimize_capacitors) == ["lanes", "b_lo", "b_hi", "tol_rel"]
     # The sweeps take their values directly; no horizon means no simulation.
     assert names(wpaoi.sweep_aoi_vs_B) == ["base", "b_values", "horizon", "seed"]
     assert inspect.signature(wpaoi.sweep_aoi_vs_B).parameters["horizon"].default is None
     assert names(wpaoi.sweep_minaoi_vs_P) == ["base", "p_values", "r_values"]
-    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 40
+    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 39

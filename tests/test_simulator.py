@@ -18,7 +18,7 @@ from wpaoi import (
     EventLog,
     NoSuccessError,
     SimConfig,
-    Warmup,
+    SimStats,
     average_aoi,
     batch_ci,
     build_params,
@@ -29,6 +29,7 @@ from wpaoi import (
     simulate,
     summarize,
     trace_rows,
+    validation_report,
     write_trace,
 )
 from wpaoi.simulator import (
@@ -128,7 +129,7 @@ def test_extract_cycles_random_log_sum_identity():
 def test_summarize_rejects_malformed_logs(fills, success):
     log = EventLog(np.array(fills, dtype=np.int64), np.array(success), horizon_slots=10)
     with pytest.raises(ValueError):
-        summarize(log, Warmup.FULL_HORIZON)
+        summarize(log)
 
 
 def test_extract_cycles_rejects_malformed_logs():
@@ -173,14 +174,13 @@ def test_empirical_aoi_sums_exactly_past_int64():
     assert empirical_aoi([3_000_000_000] * 4) == 1_500_000_000.5
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_age_sums_do_not_wrap_at_long_horizons(warmup):
+def test_age_sums_do_not_wrap_at_long_horizons():
     # beta = 1.46e7 over 3e12 slots: the age total is ~8e19, past 2**63
     params, _ = build_params(
         power_w=3e-5, capacitor_j=3e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
     )
     d = derive(params)
-    stats = simulate(SimConfig(params, 3_000_000_000_000, 1, warmup=warmup))
+    stats = simulate(SimConfig(params, 3_000_000_000_000, 1))
     target = average_aoi(d.beta, d.pi)
     assert stats.delta_ci_half < 0.02 * target
     assert abs(stats.delta_hat - target) < 3.0 * stats.delta_ci_half
@@ -722,12 +722,11 @@ def test_alias_table_is_kept_for_the_last_beta(ref_point, monkeypatch):
     assert builds == [beta, other, beta]
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmup, table_builds):
+def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, table_builds):
     # beta 145.6 over 1e7 slots: ~68k fills, over _TABLE_FILLS per entry of
     # the 320-entry table. Every power sum here is an integer below 2**53,
     # so even the float sums behind the half-width are exact in any order.
-    config = SimConfig(ref_point(), 10_000_000, seed=12, warmup=warmup)
+    config = SimConfig(ref_point(), 10_000_000, seed=12)
     expected = simulate(config)
     assert expected.n_recharges > _TABLE_FILLS * _table_size(table_builds[0])
     with _chunks_of(997):
@@ -737,7 +736,7 @@ def test_simulate_does_not_depend_on_chunking_on_the_table_path(ref_point, warmu
 
 def test_simulate_reduces_renewal_events(ref_point):
     config = SimConfig(ref_point(), 200_000, seed=31)
-    assert simulate(config) == summarize(sample_events(config), config.warmup)
+    assert simulate(config) == summarize(sample_events(config))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -746,34 +745,30 @@ def test_simulate_reduces_renewal_events_at_high_power(ref_point, seed):
     # chunks, or in ~400 of 997 fills each. Every power sum here is an integer
     # below 2**53, so even the float sums behind the half-width are exact
     # in any order.
-    for warmup in Warmup:
-        config = SimConfig(ref_point(power_w=300.0), 1_000_000, seed=seed, warmup=warmup)
-        expected = summarize(sample_events(config), warmup)
-        assert expected.n_recharges > 6 * _CHUNK
+    config = SimConfig(ref_point(power_w=300.0), 1_000_000, seed=seed)
+    expected = summarize(sample_events(config))
+    assert expected.n_recharges > 6 * _CHUNK
+    assert simulate(config) == expected
+    with _chunks_of(997):
         assert simulate(config) == expected
-        with _chunks_of(997):
-            assert simulate(config) == expected
 
 
-def _measured_cycles(log, warmup):
-    """The recharge, interarrival and attempt arrays in the window of warmup."""
+def _measured_cycles(log):
+    """The recharge, interarrival and attempt arrays in the window from the
+    first to the last decoded update."""
     t, x, m = extract_cycles(log)
-    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
-        hits = np.flatnonzero(log.success)
-        t, x, m = t[hits[0] + 1 : hits[-1] + 1], x[1:], m[1:]
-    return t, x, m
+    hits = np.flatnonzero(log.success)
+    return t[hits[0] + 1 : hits[-1] + 1], x[1:], m[1:]
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
+def test_summary_equals_statistics_of_cycle_arrays(ref_point):
     # ~81k fills, so the reduction crosses a 2**16-fill chunk edge
     log = sample_events(SimConfig(ref_point(power_w=300.0), 200_000, seed=8))
     assert log.fill_slots.size > 1 << 16
-    t, x, m = _measured_cycles(log, warmup)
+    t, x, m = _measured_cycles(log)
     hits = np.flatnonzero(log.success)
-    stats = summarize(log, warmup)
-    if warmup is Warmup.FIRST_SUCCESS_TO_LAST_SUCCESS:
-        assert stats.delta_hat == empirical_aoi(x)
+    stats = summarize(log)
+    assert stats.delta_hat == empirical_aoi(x)
     tf, xf = t.astype(float), x.astype(float)
     assert (stats.t_samples_mean, stats.t_samples_m2) == (np.mean(tf), np.mean(tf * tf))
     assert (stats.x_samples_mean, stats.x_samples_m2) == (np.mean(xf), np.mean(xf * xf))
@@ -786,7 +781,7 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point, warmup):
     age_half = _Z975 * np.std(residuals, ddof=1) / math.sqrt(x.size) / np.mean(xf)
     assert stats.delta_ci_half == pytest.approx(age_half, rel=1e-9)
     halves = [_Z975 * np.std(v, ddof=1) / math.sqrt(v.size) for v in (tf, tf * tf, xf, xf * xf)]
-    assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+    assert _cycle_sums(log).moment_halves() == pytest.approx(halves, rel=1e-9)
 
 
 def _fourth_power_sum(total, n, top, rng):
@@ -883,19 +878,54 @@ def test_reference_run_takes_no_float_power_sum(ref_point, monkeypatch):
         simulator, "_float_power_sums", lambda *a: calls.append(a) or float_sums(*a)
     )
     for seed in (12, 7_000_001):
-        for warmup in Warmup:
-            assert simulate(SimConfig(ref_point(), 10_000_000, seed, warmup)).n_recharges > _CHUNK
+        assert simulate(SimConfig(ref_point(), 10_000_000, seed)).n_recharges > _CHUNK
     assert calls == []
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_half_widths_stay_exact_when_cycles_barely_vary(ref_point, warmup):
+# The benchmark's mc_reference op: P = 3 W, B = 3e-4 J, 20 m, -50 dBm,
+# r = 0.05, 1e7 slots, op seeds seed*1_000_000 + index.
+_REFERENCE_PINS = {
+    7_000_000: SimStats(
+        delta_hat=274.11955216557186, delta_ci_half=3.855420208586049,
+        t_samples_mean=146.6350770674762, t_samples_m2=21647.02418349539,
+        x_samples_mean=346.4040327050998, x_samples_m2=189565.83259423502,
+        m_mean=2.362354490022173, n_recharges=68196, n_attempts=68196, n_successes=28865,
+        n_slots_measured=9998606,
+    ),
+    7_000_001: SimStats(
+        delta_hat=272.54189044339444, delta_ci_half=3.8098585897762987,
+        t_samples_mean=146.67788355752447, t_samples_m2=21661.67082777134,
+        x_samples_mean=344.253184603732, x_samples_m2=187302.57426151622,
+        m_mean=2.347001308269641, n_recharges=68176, n_attempts=68176, n_successes=29047,
+        n_slots_measured=9999178,
+    ),
+    7_000_002: SimStats(
+        delta_hat=273.01903082558516, delta_ci_half=3.6865202560083685,
+        t_samples_mean=146.70201434838103, t_samples_m2=21665.973533252152,
+        x_samples_mean=344.42532378065584, x_samples_m2=187724.9108569854,
+        m_mean=2.3477886470101956, n_recharges=68165, n_attempts=68165, n_successes=29033,
+        n_slots_measured=9999356,
+    ),
+}
+
+
+def test_reference_point_runs_are_pinned():
+    # Every draw, counter, estimate and half-width of the benchmark's
+    # reference op, bit for bit.
+    params, _ = build_params(
+        power_w=3.0, capacitor_j=3e-4, noise_w=dbm_to_watts(-50.0), distance_m=20.0
+    )
+    for seed, expected in _REFERENCE_PINS.items():
+        assert simulate(SimConfig(params, 10_000_000, seed)) == expected
+
+
+def test_half_widths_stay_exact_when_cycles_barely_vary(ref_point):
     # beta 4.85e15 and pi 0.9997: ~200 cycles whose T and X have a
     # coefficient of variation near 1.4e-8, so raw power sums would cancel
     # every digit of the variances. Exact rational arithmetic is the
     # reference.
     log = sample_events(SimConfig(ref_point(power_w=3e-10, capacitor_j=1.0), 10**18, seed=3))
-    t, x, _ = (v.tolist() for v in _measured_cycles(log, warmup))
+    t, x, _ = (v.tolist() for v in _measured_cycles(log))
     assert len(x) > 150
 
     def mean_half(v):
@@ -907,8 +937,8 @@ def test_half_widths_stay_exact_when_cycles_barely_vary(ref_point, warmup):
     residuals = sum((Fraction(a * (a + 1), 2) - r * a) ** 2 for a in x) / (len(x) - 1)
     age_half = _Z975 * math.sqrt(residuals / len(x)) * len(x) / sum(x)
     halves = [mean_half(v) for v in (t, [a * a for a in t], x, [a * a for a in x])]
-    assert summarize(log, warmup).delta_ci_half == pytest.approx(age_half, rel=1e-9)
-    assert _cycle_sums(log).moment_halves(warmup) == pytest.approx(halves, rel=1e-9)
+    assert summarize(log).delta_ci_half == pytest.approx(age_half, rel=1e-9)
+    assert _cycle_sums(log).moment_halves() == pytest.approx(halves, rel=1e-9)
 
 
 # beta 0.485 and pi 0.077: most 7-fill chunks hold no decoded update
@@ -916,29 +946,27 @@ def _sparse_decodes(ref_point):
     return ref_point(power_w=300.0, capacitor_j=1e-4)
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_simulate_equals_summary_of_its_log_at_chunk_edges(ref_point, warmup):
+def test_simulate_equals_summary_of_its_log_at_chunk_edges(ref_point):
     params = _sparse_decodes(ref_point)
     # A shorter horizon keeps a prefix of the same fills, so ending it on a
     # fill leaves that last fill without a transmission attempt.
     horizon = int(sample_events(SimConfig(params, 20_000, seed=4)).fill_slots[-5])
-    config = SimConfig(params, horizon, seed=4, warmup=warmup)
+    config = SimConfig(params, horizon, seed=4)
     log = sample_events(config)
     assert log.fill_slots[-1] == horizon
     assert log.success.size == log.fill_slots.size - 1
     chunks = [log.success[i : i + 7] for i in range(0, log.success.size, 7)]
     assert sum(not c.any() for c in chunks) > 100
-    expected = summarize(log, warmup)
+    expected = summarize(log)
     for chunk in (7, _CHUNK):
         with _chunks_of(chunk):
             assert simulate(config) == expected
 
 
-@pytest.mark.parametrize("warmup", list(Warmup))
-def test_simulate_does_not_depend_on_chunking(ref_point, warmup):
+def test_simulate_does_not_depend_on_chunking(ref_point):
     # ~1.3k fills. Every power sum here is an integer below 2**53, so even
     # the float sums behind the half-width are exact in any order.
-    config = SimConfig(_sparse_decodes(ref_point), 2_000, seed=12, warmup=warmup)
+    config = SimConfig(_sparse_decodes(ref_point), 2_000, seed=12)
     expected = simulate(config)
     assert expected.n_recharges > 1_000
     for chunk in (1, 7, 997):
@@ -1038,21 +1066,13 @@ def test_trace_energy_and_age_dynamics(ref_point):
 
 def test_windowed_age_equals_cycle_decomposition(ref_point):
     config = SimConfig(ref_point(), 50_000, seed=13)
-    stats = summarize(sample_slot_events(config), config.warmup)
+    stats = summarize(sample_slot_events(config))
     rows = list(trace_rows(config))
     success_slots = [slot for slot, _h, _e, _tx, success, _a in rows if success]
     first, last = success_slots[0], success_slots[-1]
     ages = [age for slot, _h, _e, _tx, _s, age in rows if first <= slot < last]
     assert stats.delta_hat == sum(ages) / len(ages)
     assert stats.n_slots_measured == last - first == len(ages)
-
-
-def test_full_horizon_age_equals_per_slot_average(ref_point):
-    config = SimConfig(ref_point(), 5_000, seed=123, warmup=Warmup.FULL_HORIZON)
-    stats = summarize(sample_slot_events(config), config.warmup)
-    ages = [age for *_rest, age in trace_rows(config)]
-    assert stats.delta_hat == sum(ages) / len(ages)
-    assert stats.n_slots_measured == config.horizon_slots
 
 
 def test_every_attempt_succeeds_when_threshold_vanishes(toy_point):
@@ -1109,9 +1129,6 @@ def test_single_success_raises_under_windowing(ref_point):
     with pytest.raises(NoSuccessError) as err:
         simulate(short)
     assert err.value.n_successes == 1
-    stats = simulate(SimConfig(params, second_success_fill, seed=55, warmup=Warmup.FULL_HORIZON))
-    assert stats.n_successes == 1
-    assert stats.delta_hat >= 1.0
 
 
 def test_sim_config_validation(ref_point):
@@ -1123,6 +1140,26 @@ def test_sim_config_validation(ref_point):
         SimConfig(ref_point(), 100, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(ref_point(), 100, seed=2**64)
+
+
+@pytest.mark.parametrize(
+    "horizon, seed",
+    [(100_000.5, 0), (100.0, 0), (np.float64(100.0), 0), (True, 0), (100, 1.7), (100, True),
+     (100, np.bool_(True)), (100, "1")],
+    ids=["half_slot", "float", "numpy_float", "bool_horizon", "fractional_seed", "bool_seed",
+         "numpy_bool_seed", "str_seed"],
+)
+def test_sim_config_rejects_non_integers(ref_point, horizon, seed):
+    # int() would truncate 1.7 and take True as 1 without a word
+    with pytest.raises(ValueError, match="must be an integer"):
+        SimConfig(ref_point(), horizon, seed)
+    with pytest.raises(ValueError, match="must be an integer"):
+        validation_report(ref_point(), horizon, seed)
+
+
+def test_sim_config_accepts_numpy_integers(ref_point):
+    config = SimConfig(ref_point(power_w=300.0), np.int64(20_000), np.uint64(3))
+    assert simulate(config) == simulate(SimConfig(ref_point(power_w=300.0), 20_000, 3))
 
 
 # --- trace file -------------------------------------------------------------
