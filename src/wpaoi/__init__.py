@@ -19,11 +19,9 @@ from .analytics import (
     recharge_pmf,
 )
 from .experiments import (
-    CSV_HEADER,
     SweepRow,
     ValidationReport,
     ValidationRow,
-    format_validation_report,
     rows_to_csv,
     rows_to_json,
     sweep_aoi_vs_B,
@@ -48,8 +46,6 @@ from .simulator import (
     batch_ci,
     sample_events,
     simulate,
-    summarize,
-    trace_rows,
     write_trace,
 )
 
@@ -57,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticReport",
-    "CSV_HEADER",
     "DerivedParams",
     "EventLog",
     "NoSuccessError",
@@ -78,7 +73,6 @@ __all__ = [
     "channel_rate_from_distance",
     "dbm_to_watts",
     "derive",
-    "format_validation_report",
     "interarrival_moments",
     "mean_peak_area",
     "optimize_capacitor",
@@ -89,10 +83,8 @@ __all__ = [
     "rows_to_json",
     "sample_events",
     "simulate",
-    "summarize",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",
-    "trace_rows",
     "validation_report",
     "write_trace",
 ]

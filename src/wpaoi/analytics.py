@@ -246,8 +246,8 @@ def interarrival_moments(beta, pi):
     """
     e_t, e_t2 = recharge_moments(beta)
     _check_pi(pi)
-    # A moment that overflows is inf.
-    with np.errstate(over="ignore"):
+    # A moment that overflows is inf, also where pi*pi underflows to zero.
+    with np.errstate(over="ignore", divide="ignore"):
         e_x, e_x2 = _x_moments(e_t, e_t2, np.asarray(pi, dtype=float))
     if np.ndim(beta) == 0 and np.ndim(pi) == 0:
         return float(e_x), float(e_x2)

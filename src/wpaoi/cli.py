@@ -23,9 +23,9 @@ from dataclasses import asdict, replace
 
 from .analytics import analytic_report
 from .experiments import (
+    ValidationReport,
     _csv,
     _json,
-    format_validation_report,
     rows_to_csv,
     rows_to_json,
     sweep_aoi_vs_B,
@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .model import build_params, dbm_to_watts, derive
 from .optimizer import optimize_capacitor
-from .simulator import NoSuccessError, SimConfig, simulate, summarize, write_trace
+from .simulator import NoSuccessError, SimConfig, simulate, write_trace
 
 __all__ = ["run_cli", "main"]
 
@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
     else:
         # The statistics describe the realization in the trace file: the
         # events come from the rows as they are written.
-        stats = summarize(write_trace(config, args.trace))
+        stats = write_trace(config, args.trace)
     payload = {
         "beta": d.beta,
         "pi": d.pi,
@@ -170,10 +170,32 @@ def _emit_rows(rows, args) -> int:
     return 0
 
 
+def _format_validation_report(report: ValidationReport) -> str:
+    """Render a validation report as an aligned text table."""
+    lines = [
+        f"validation over {report.horizon_slots} slots, seed {report.seed}: "
+        f"{report.n_recharges} recharges, {report.n_attempts} attempts, "
+        f"{report.n_successes} decoded updates"
+    ]
+    if report.sim_error is not None:
+        lines.append(f"FAILED: {report.sim_error}")
+        return "\n".join(lines) + "\n"
+    header = f"{'statistic':<10} {'analytic':>16} {'empirical':>16} {'ci_half':>12} {'rel_err':>10}  result"
+    lines.append(header)
+    for row in report.rows:
+        lines.append(
+            f"{row.statistic:<10} {row.analytic:>16.8g} {row.empirical:>16.8g} "
+            f"{row.ci_half:>12.3g} {row.rel_err:>10.3e}  "
+            + ("PASS" if row.passed else f"FAIL (tol {row.tolerance:g})")
+        )
+    lines.append("overall: " + ("PASS" if report.all_passed else "FAIL"))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_validate(args) -> int:
     params = _params_from_args(args)
     report = validation_report(params, args.horizon, args.seed)
-    print(format_validation_report(report), end="", file=sys.stderr)
+    print(_format_validation_report(report), end="", file=sys.stderr)
     if report.sim_error is not None:
         # sim_error already carries the run's counters
         print(f"error: {report.sim_error}", file=sys.stderr)

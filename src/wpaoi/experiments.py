@@ -31,7 +31,6 @@ from .simulator import NoSuccessError, SimConfig, _cycle_sums, sample_events, si
 
 __all__ = [
     "SweepRow",
-    "CSV_HEADER",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",
     "rows_to_csv",
@@ -39,10 +38,9 @@ __all__ = [
     "ValidationRow",
     "ValidationReport",
     "validation_report",
-    "format_validation_report",
 ]
 
-CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
+_CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def sweep_minaoi_vs_P(base: SystemParams, p_values, r_values) -> list[SweepRow]:
 
 def rows_to_csv(rows) -> str:
     """Serialize sweep rows to the fixed CSV schema, one line per row."""
-    keys = CSV_HEADER.split(",")
+    keys = _CSV_HEADER.split(",")
     return _csv(keys, map(operator.attrgetter(*keys), rows))
 
 
@@ -244,14 +242,14 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     moments (first and second of each) plus the average age. Moments must
     agree within 2% relative, the age within 1%. The run is sampled with
     :func:`~wpaoi.simulator.sample_events` and reduced once, by the reduction
-    behind :func:`~wpaoi.simulator.summarize`, over the window between the
+    behind :func:`~wpaoi.simulator.simulate`, over the window between the
     first and the last decoded update. The recharge times are i.i.d., and so are
     the interarrival times, so the moment rows carry i.i.d. 95% half-widths;
     the age row carries the regenerative one of
     :class:`~wpaoi.simulator.SimStats`. A run with too few decoded updates
     produces a report with no rows and, in ``sim_error``, the message and
     counters of the :class:`~wpaoi.simulator.NoSuccessError` that
-    :func:`~wpaoi.simulator.summarize` would raise.
+    :func:`~wpaoi.simulator.simulate` raises on the same run.
     """
     d = derive(params)
     ref = analytic_report(d.beta, d.pi)
@@ -281,24 +279,3 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
         rows.append(ValidationRow(name, target, empirical, half, rel, tol, passed=rel < tol))
     return ValidationReport(rows=tuple(rows), all_passed=all(r.passed for r in rows), **counts)
 
-
-def format_validation_report(report: ValidationReport) -> str:
-    """Render a validation report as an aligned text table."""
-    lines = [
-        f"validation over {report.horizon_slots} slots, seed {report.seed}: "
-        f"{report.n_recharges} recharges, {report.n_attempts} attempts, "
-        f"{report.n_successes} decoded updates"
-    ]
-    if report.sim_error is not None:
-        lines.append(f"FAILED: {report.sim_error}")
-        return "\n".join(lines) + "\n"
-    header = f"{'statistic':<10} {'analytic':>16} {'empirical':>16} {'ci_half':>12} {'rel_err':>10}  result"
-    lines.append(header)
-    for row in report.rows:
-        lines.append(
-            f"{row.statistic:<10} {row.analytic:>16.8g} {row.empirical:>16.8g} "
-            f"{row.ci_half:>12.3g} {row.rel_err:>10.3e}  "
-            + ("PASS" if row.passed else f"FAIL (tol {row.tolerance:g})")
-        )
-    lines.append("overall: " + ("PASS" if report.all_passed else "FAIL"))
-    return "\n".join(lines) + "\n"

@@ -21,15 +21,15 @@ Two execution paths sample this system:
   runs at one operating point find them once. The fill slots of a chunk of
   draws are one running sum, cut at the horizon by one binary search on
   the table path.
-* :func:`trace_rows`, a plain per-slot loop, runs the slot dynamics
-  themselves and exposes the harvested energy, capacitor level, transmit
-  flag, decode outcome and age of every slot. :func:`write_trace` writes
-  them and returns the run's event log, which backs the ``--trace`` path.
+* :func:`write_trace` runs the slot dynamics themselves, one plain loop
+  iteration per slot (``_trace_rows``), and writes the harvested energy,
+  capacitor level, transmit flag, decode outcome and age of every slot as a
+  CSV trace. It backs the ``--trace`` path.
 
 The tests hold a vectorized copy of the slot dynamics,
 ``tests/reference_slots.py``, which finds fills by binary search in
 cumulative harvest sums over 2^23 slots at a time. It consumes the two random
-substreams as :func:`trace_rows` does (one draw from the harvest stream per
+substreams as ``_trace_rows`` does (one draw from the harvest stream per
 slot, one draw from the decode stream per transmit slot), so the two agree
 bit for bit for a given seed. The renewal engine reads the harvest stream
 differently, so it describes another realization of the same process; the
@@ -37,7 +37,7 @@ tests tie it to the slot dynamics by the distributions of recharge and
 interarrival times. The renewal engine decodes an attempt when its draw
 from the decode stream reaches a cut found once per operating point; that
 gives, bit for bit, the outcomes of computing the channel gain of every
-attempt, as :func:`trace_rows` does.
+attempt, as ``_trace_rows`` does.
 
 The statistics come from one streaming reduction over one measurement
 window, from the first to the last decoded update. The average age is a
@@ -52,8 +52,8 @@ fourth powers stays below 2^53, so do all float partial sums, and the sums
 are taken in int64, bit for bit what the float sums give: from one
 histogram when the times are few distinct small integers, and entry by
 entry otherwise. :func:`simulate` feeds the reduction straight from the
-sampler, so its memory stays bounded however long the horizon;
-:func:`summarize` feeds it a given log.
+sampler and :func:`write_trace` from the rows as it writes them, so the
+memory of either stays bounded however long the horizon.
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ __all__ = [
     "EventLog",
     "NoSuccessError",
     "sample_events",
-    "summarize",
     "simulate",
     "batch_ci",
-    "trace_rows",
     "write_trace",
 ]
 
@@ -428,7 +426,7 @@ def sample_events(config: SimConfig) -> EventLog:
     not the results.
 
     Decode outcomes are drawn from a second substream, one draw per attempt,
-    in fill order, as :func:`trace_rows` reads them. A beta above numpy's
+    in fill order, as :func:`write_trace` reads them. A beta above numpy's
     Poisson limit (~9.2e18) puts the first fill beyond any horizon, so the
     run has no fill. The log is written in place into arrays allocated at
     the bound the chunks are sized by, 12 standard deviations past the
@@ -448,21 +446,6 @@ def sample_events(config: SimConfig) -> EventLog:
         n += f.size
         a += s.size
     return EventLog(fills[:n], success[:a], config.horizon_slots)
-
-
-def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
-    """The fill slots and decode outcomes of a log once its shape and range
-    check out; the order of the fills is checked where they are differenced."""
-    fills = np.asarray(log.fill_slots, dtype=np.int64)
-    success = np.asarray(log.success, dtype=bool)
-    if fills.ndim != 1 or success.ndim != 1:
-        raise ValueError("event log arrays must be one-dimensional")
-    if success.size > fills.size:
-        raise ValueError("more attempts than recharges in event log")
-    if fills.size:
-        if fills[0] < 1 or int(fills[-1]) > log.horizon_slots:
-            raise ValueError("fill slots outside the simulated horizon")
-    return fills, success
 
 
 def _exact_sum(v: np.ndarray, top: int) -> int:
@@ -668,9 +651,9 @@ class _CycleSums:
         return t, x
 
     def stats(self) -> SimStats:
-        """The statistics of :func:`summarize`. The window's updates took
-        one attempt per fill in it, and its age total is the sum of the
-        cycles' X(X+1)/2."""
+        """The run's :class:`SimStats`. The window's updates took one
+        attempt per fill in it, and its age total is the sum of the cycles'
+        X(X+1)/2."""
         t, x = self._measured()
         n_slots = x[1]
         area = (_square_total(*x) + n_slots) // 2
@@ -743,51 +726,33 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
 
 
 def _cycle_sums(log: EventLog) -> _CycleSums:
-    """Reduce a given event log, fed in chunks, to its :class:`_CycleSums`.
-
-    Raises
-    ------
-    ValueError
-        If the log is structurally inconsistent.
-    """
-    fills, success = _checked(log)
+    """Reduce an event log of :func:`sample_events`, fed in chunks, to its
+    :class:`_CycleSums`."""
+    fills, success = log.fill_slots, log.success
     chunks = (
         (fills[i : i + _CHUNK], success[i : i + _CHUNK]) for i in range(0, fills.size, _CHUNK)
     )
     return _reduce(chunks, log.horizon_slots)
 
 
-def summarize(log: EventLog) -> SimStats:
-    """Reduce an event log to empirical statistics over its measurement
-    window, from the first to the last decoded update.
+def simulate(config: SimConfig) -> SimStats:
+    """Sample one run with the renewal engine and reduce it as it is drawn.
 
-    The window holds whole interarrival cycles, so its age average equals
-    the renewal-reward ratio sum(X*(X+1)/2)/sum(X) over them as an exact
-    integer identity. The confidence half-width is the regenerative one
-    described under :class:`SimStats`.
+    The result equals the reduction of ``sample_events(config)``, but the
+    event log is never held: memory stays at a few chunks of fills however
+    long the horizon. The age and its half-width are those described under
+    :class:`SimStats`.
 
     Raises
     ------
     NoSuccessError
         If fewer than two updates are decoded (no complete cycle fits in the
-        window).
-    ValueError
-        If the log is structurally inconsistent.
-    """
-    return _cycle_sums(log).stats()
-
-
-def simulate(config: SimConfig) -> SimStats:
-    """Sample one run with the renewal engine and reduce it as it is drawn.
-
-    The result equals ``summarize(sample_events(config))``, but the event
-    log is never held: memory stays at a few chunks of fills however long
-    the horizon.
+        measurement window).
     """
     return _reduce(_event_chunks(config), config.horizon_slots).stats()
 
 
-def trace_rows(config: SimConfig):
+def _trace_rows(config: SimConfig):
     """Yield one (slot, harvest_j, energy_j, transmitted, success, age) per slot.
 
     The slot dynamics themselves, one plain loop iteration per slot: one
@@ -819,27 +784,52 @@ def trace_rows(config: SimConfig):
         yield slot, harvested, level, transmitted, success, age
 
 
-def write_trace(config: SimConfig, path) -> EventLog:
-    """Write the per-slot trace as CSV and return the run's event log.
+def _traced_chunks(config: SimConfig, writer):
+    """Write every row of :func:`_trace_rows` with ``writer``, and yield the
+    run's (fill slots, decode outcomes) as the rows come, in chunks of
+    ``_CHUNK`` attempts and then the rest. None is empty.
 
-    The log holds the slots whose energy reaches B, the fills, and the
-    decode outcome of every transmit slot, gathered as the rows are
-    written, so the statistics of a traced run need no second pass over the
-    slot dynamics. Meant for short debugging horizons.
+    A row whose energy reaches B is a fill, and a transmit row carries the
+    outcome of the attempt after the last fill. A row's outcome is read
+    before its fill, so a chunk is cut right after an outcome, when every
+    fill in it has its attempt, even where recharges take one slot.
     """
     cap = config.params.capacitor_j
     fills, outcomes = [], []
+
+    def chunk():
+        return np.array(fills, dtype=np.int64), np.array(outcomes, dtype=bool)
+
+    for slot, harvested, level, transmitted, success, age in _trace_rows(config):
+        writer.writerow([slot, repr(harvested), repr(level), int(transmitted), int(success), age])
+        if transmitted:
+            outcomes.append(success)
+            if len(outcomes) == _CHUNK:
+                yield chunk()
+                fills, outcomes = [], []
+        if level == cap:
+            fills.append(slot)
+    if fills:
+        yield chunk()
+
+
+def write_trace(config: SimConfig, path) -> SimStats:
+    """Write the per-slot trace as CSV and return the run's statistics.
+
+    The fills and decode outcomes of the rows feed the streaming reduction
+    as the rows are written, so a traced run walks the slot dynamics once
+    and holds at most a chunk of its events: only the file grows with the
+    horizon. The per-slot loop is slow, so this is meant for short
+    debugging horizons.
+
+    Raises
+    ------
+    NoSuccessError
+        If fewer than two updates are decoded. The trace file is written in
+        full first.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "harvest_j", "energy_j", "transmitted", "success", "age"])
-        for slot, harvested, level, transmitted, success, age in trace_rows(config):
-            writer.writerow(
-                [slot, repr(harvested), repr(level), int(transmitted), int(success), age]
-            )
-            if transmitted:
-                outcomes.append(success)
-            if level == cap:
-                fills.append(slot)
-    return EventLog(
-        np.asarray(fills, dtype=np.int64), np.asarray(outcomes, dtype=bool), config.horizon_slots
-    )
+        sums = _reduce(_traced_chunks(config, writer), config.horizon_slots)
+    return sums.stats()

@@ -1,15 +1,66 @@
-"""Reference cycle arrays of an event log, for the tests.
+"""Reference cycle arrays and summaries of an event log, for the tests.
 
-The package reduces an event log to running sums chunk by chunk
+The package reduces a run to running sums chunk by chunk
 (``wpaoi.simulator._reduce``) and never forms these arrays. The tests
 build them here, the plain way, to check the reduction and the engines
 against: one array each of the recharge times, the interarrival times and
-the attempts per decoded update.
+the attempts per decoded update. ``summarize`` feeds a given log, once its
+shape checks out, through the package's reduction, and ``trace_events``
+reads the log of a run back from the trace file that ``write_trace`` wrote.
 """
+
+import csv
 
 import numpy as np
 
-from wpaoi.simulator import EventLog, _checked, _exact_sum, _square_sum
+from wpaoi.simulator import EventLog, SimStats, _cycle_sums, _exact_sum, _square_sum
+
+
+def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    """The fill slots and decode outcomes of a log once its shape and range
+    check out; the order of the fills is checked where they are differenced."""
+    fills = np.asarray(log.fill_slots, dtype=np.int64)
+    success = np.asarray(log.success, dtype=bool)
+    if fills.ndim != 1 or success.ndim != 1:
+        raise ValueError("event log arrays must be one-dimensional")
+    if success.size > fills.size:
+        raise ValueError("more attempts than recharges in event log")
+    if fills.size:
+        if fills[0] < 1 or int(fills[-1]) > log.horizon_slots:
+            raise ValueError("fill slots outside the simulated horizon")
+    return fills, success
+
+
+def summarize(log: EventLog) -> SimStats:
+    """The :class:`~wpaoi.simulator.SimStats` of a given event log, from the
+    reduction behind ``simulate`` and ``write_trace``.
+
+    Raises
+    ------
+    NoSuccessError
+        If fewer than two updates are decoded (no complete cycle fits in the
+        window).
+    ValueError
+        If the log is structurally inconsistent.
+    """
+    fills, success = _checked(log)
+    return _cycle_sums(EventLog(fills, success, log.horizon_slots)).stats()
+
+
+def trace_events(path, capacitor_j: float, horizon: int) -> EventLog:
+    """The event log of a trace file: the slots whose energy reaches
+    ``capacitor_j`` (the file holds each float's repr, which reads back
+    exactly), and the decode outcome of every transmit slot."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        assert next(rows) == ["slot", "harvest_j", "energy_j", "transmitted", "success", "age"]
+        fills, success = [], []
+        for slot, _, energy, transmitted, decoded, _ in rows:
+            if transmitted == "1":
+                success.append(decoded == "1")
+            if float(energy) == capacitor_j:
+                fills.append(int(slot))
+    return EventLog(np.array(fills, dtype=np.int64), np.array(success, dtype=bool), horizon)
 
 
 def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

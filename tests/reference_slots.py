@@ -1,11 +1,12 @@
 """Vectorized slot engine, the tests' reference for the slot dynamics.
 
 The package has two engines: the renewal sampler behind ``simulate``, which
-draws one recharge time per update, and the per-slot loop ``trace_rows``
+draws one recharge time per update, and the per-slot loop ``_trace_rows``
 behind ``write_trace``. The tests need the literal slot dynamics over far
 more slots than the per-slot loop can run (about 1.7 us per slot), so this
 engine runs them a block at a time. It reads the two random substreams in
-the order ``trace_rows`` does and returns the events it writes, bit for bit.
+the order ``_trace_rows`` does and returns the events of the rows it
+yields, bit for bit.
 """
 
 import numpy as np
@@ -26,8 +27,8 @@ _DENSE_BETA = 24.0
 def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     """Run the slot dynamics and return the fill slots and decode outcomes.
 
-    It draws one harvest per slot, exactly as ``trace_rows`` does, and
-    returns the events of ``write_trace`` bit for bit. It backs the renewal
+    It draws one harvest per slot, exactly as ``_trace_rows`` does, and
+    returns the events of the trace ``write_trace`` writes, bit for bit. It backs the renewal
     claim of ``sample_events`` in the tests.
 
     The capacitor level after slot k is ``min(level + eta*P*h_k, B)`` with the

@@ -27,12 +27,11 @@ from wpaoi import (
     recharge_pmf,
     sample_events,
     simulate,
-    summarize,
-    trace_rows,
 )
+from wpaoi.simulator import _trace_rows
 
 from conftest import REF_LAMBDA, truncation_k_max
-from reference_cycles import empirical_aoi, extract_cycles
+from reference_cycles import empirical_aoi, extract_cycles, summarize
 from reference_slots import sample_slot_events
 
 
@@ -267,7 +266,7 @@ def test_criterion_7_windowed_estimate_is_exact(capsys):
             config = SimConfig(params=params, horizon_slots=horizon, seed=seed)
             ages = np.empty(horizon + 1, dtype=np.int64)
             success_slots = []
-            for slot, _, _, _, success, age in trace_rows(config):
+            for slot, _, _, _, success, age in _trace_rows(config):
                 ages[slot] = age
                 if success:
                     success_slots.append(slot)

@@ -217,6 +217,17 @@ def test_closed_forms_overflow_to_inf_at_a_huge_finite_beta(beta):
     assert delta.tolist() == [average_aoi(1.0, 0.5), math.inf]
 
 
+@pytest.mark.parametrize("pi", [1e-301, 5e-324])
+def test_closed_forms_overflow_to_inf_at_a_tiny_pi(pi):
+    # pi*pi underflows to zero, so E[X^2] ~ 2*E[T]^2/pi^2 is inf, for
+    # floats and arrays alike, without a warning
+    assert interarrival_moments(1.0, pi)[1] == math.inf
+    report = analytic_report(1.0, pi)
+    assert report.e_x2 == report.e_q == math.inf
+    _, e_x2 = interarrival_moments(np.array([1.0, 1.0]), np.array([pi, 0.5]))
+    assert e_x2.tolist() == [math.inf, interarrival_moments(1.0, 0.5)[1]]
+
+
 def test_average_aoi_halves_the_ratio_exactly():
     # E[T^2]/E[T]*0.5 rounds as E[T^2]/(2*E[T]) wherever 2*E[T] is finite
     rng = np.random.default_rng(5)

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from wpaoi import (
-    CSV_HEADER,
     SweepRow,
     ValidationReport,
     average_aoi,
     build_params,
     dbm_to_watts,
     derive,
-    format_validation_report,
     optimize_capacitor,
     rows_to_csv,
     rows_to_json,
@@ -21,7 +19,8 @@ from wpaoi import (
     sweep_minaoi_vs_P,
     validation_report,
 )
-from wpaoi.experiments import _csv, _json
+from wpaoi.cli import _format_validation_report
+from wpaoi.experiments import _CSV_HEADER, _csv, _json
 
 _B_GRID = (1e-4, 3.36e-4, 1e-3)
 _DELTAS = (622.36583866962915, 271.39091688037567, 386.681949809714)
@@ -175,7 +174,7 @@ def test_csv_schema_and_exact_round_trip(ref_point):
     rows = sweep_aoi_vs_B(ref_point(), _B_GRID)
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == _CSV_HEADER
     assert lines[0] == "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
     assert len(lines) == 1 + len(rows)
     for line, row in zip(lines[1:], rows):
@@ -286,14 +285,14 @@ def test_json_rows_with_odd_sim_errors_equal_json_dumps(sim_error):
 
 
 def test_csv_writer_of_rows_keeps_its_format():
-    assert rows_to_csv([]) == CSV_HEADER + "\n"
+    assert rows_to_csv([]) == _CSV_HEADER + "\n"
     rows = [
         SweepRow(1e-4, 48.5, 0.1, 622.36583866962915),
         SweepRow(3.0, 0.1 + 0.2, 5e-324, math.inf, math.nan, -0.0, 3.37e-4, -math.inf, 0.05, True),
     ]
     lines = rows_to_csv(rows).split("\n")
     assert lines == [
-        CSV_HEADER,
+        _CSV_HEADER,
         "0.0001,48.5,0.1,622.3658386696292,,,,",
         "3.0,0.30000000000000004,5e-324,inf,nan,-0.0,0.000337,-inf",
         "",
@@ -326,7 +325,7 @@ def test_validation_report_toy_point_passes(toy_point):
     # recharge rows sample for sample
     assert by_name["e_x"].empirical == by_name["e_t"].empirical
     assert by_name["e_x2"].empirical == by_name["e_t2"].empirical
-    text = format_validation_report(report)
+    text = _format_validation_report(report)
     assert "PASS" in text and "FAIL" not in text
 
 
@@ -376,4 +375,4 @@ def test_validation_report_without_successes(ref_point):
     assert report.sim_error is not None
     assert not report.all_passed
     assert report.rows == ()
-    assert "FAILED" in format_validation_report(report)
+    assert "FAILED" in _format_validation_report(report)

@@ -46,8 +46,6 @@ def test_public_signatures():
         return list(inspect.signature(f).parameters)
 
     assert names(wpaoi.simulate) == names(wpaoi.sample_events) == ["config"]
-    # One measurement window, from the first to the last decoded update.
-    assert names(wpaoi.summarize) == ["log"]
     assert [f.name for f in dataclasses.fields(wpaoi.SimConfig)] == ["params", "horizon_slots", "seed"]
     assert names(wpaoi.optimize_capacitor) == ["params", "b_lo", "b_hi", "tol_rel"]
     assert names(wpaoi.optimize_capacitors) == ["lanes", "b_lo", "b_hi", "tol_rel"]
@@ -55,4 +53,4 @@ def test_public_signatures():
     assert names(wpaoi.sweep_aoi_vs_B) == ["base", "b_values", "horizon", "seed"]
     assert inspect.signature(wpaoi.sweep_aoi_vs_B).parameters["horizon"].default is None
     assert names(wpaoi.sweep_minaoi_vs_P) == ["base", "p_values", "r_values"]
-    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 39
+    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 35

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import REF_LAMBDA
-from reference_cycles import empirical_aoi, extract_cycles
+from reference_cycles import empirical_aoi, extract_cycles, summarize, trace_events
 from reference_slots import _DENSE_BETA, sample_slot_events
 from scipy.stats import chi2
 
@@ -27,8 +27,6 @@ from wpaoi import (
     recharge_pmf,
     sample_events,
     simulate,
-    summarize,
-    trace_rows,
     validation_report,
     write_trace,
 )
@@ -50,6 +48,7 @@ from wpaoi.simulator import (
     _power_sums,
     _renewal_fills,
     _table_size,
+    _trace_rows,
 )
 
 # Capacitor size that puts the reference point exactly at the fill-search
@@ -229,6 +228,24 @@ def test_batch_ci_rejects_short_input():
 
 # --- the slot engine agrees with the per-slot trace -------------------------
 
+def _assert_trace_matches(config, tmp_path):
+    """The trace of ``write_trace`` holds the events of the vectorized slot
+    engine, and its statistics are theirs, or it raises as they do."""
+    path = tmp_path / "trace.csv"
+    log = sample_slot_events(config)
+    try:
+        expected = summarize(log)
+    except NoSuccessError:
+        with pytest.raises(NoSuccessError):
+            write_trace(config, path)
+    else:
+        assert write_trace(config, path) == expected
+    traced = trace_events(path, config.params.capacitor_j, config.horizon_slots)
+    assert np.array_equal(traced.fill_slots, log.fill_slots)
+    assert np.array_equal(traced.success, log.success)
+    return log
+
+
 @pytest.mark.parametrize(
     "capacitor_j",
     [
@@ -236,7 +253,7 @@ def test_batch_ci_rejects_short_input():
         3e-4,
         1e-3,
         # below half an ulp of the running harvest sum: every slot fills, and
-        # a chase that is not forced forward never ends
+        # a chase that is not forced forward never ends; nothing decodes
         2e-19,
         pytest.param(_THRESHOLD_CAP, id="dense_at_threshold"),
         pytest.param(math.nextafter(_THRESHOLD_CAP, math.inf), id="sparse_above_threshold"),
@@ -244,28 +261,19 @@ def test_batch_ci_rejects_short_input():
 )
 def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j, tmp_path):
     config = SimConfig(ref_point(capacitor_j=capacitor_j), 50_000, seed=2024)
-    log = sample_slot_events(config)
-    traced = write_trace(config, tmp_path / "trace.csv")
-    assert np.array_equal(traced.fill_slots, log.fill_slots)
-    assert np.array_equal(traced.success, log.success)
+    log = _assert_trace_matches(config, tmp_path)
+    if capacitor_j == 2e-19:
+        assert log.fill_slots.size == 50_000 and not log.success.any()
 
 
 def test_vectorized_path_matches_per_slot_path_toy(toy_point, tmp_path):
-    config = SimConfig(toy_point, 20_000, seed=5)
-    log = sample_slot_events(config)
-    traced = write_trace(config, tmp_path / "trace.csv")
-    assert np.array_equal(traced.fill_slots, log.fill_slots)
-    assert np.array_equal(traced.success, log.success)
+    log = _assert_trace_matches(SimConfig(toy_point, 20_000, seed=5), tmp_path)
     assert bool(np.all(log.success))
 
 
 def test_vectorized_path_matches_per_slot_path_dense(ref_point, tmp_path):
     # beta 1.456, so the dense fill search runs
-    config = SimConfig(ref_point(power_w=300.0), 50_000, seed=2024)
-    log = sample_slot_events(config)
-    traced = write_trace(config, tmp_path / "trace.csv")
-    assert np.array_equal(traced.fill_slots, log.fill_slots)
-    assert np.array_equal(traced.success, log.success)
+    _assert_trace_matches(SimConfig(ref_point(power_w=300.0), 50_000, seed=2024), tmp_path)
 
 
 # --- decode cut ---------------------------------------------------------------
@@ -1050,7 +1058,7 @@ def test_trace_energy_and_age_dynamics(ref_point):
     params = ref_point(capacitor_j=2e-4)
     cap = params.capacitor_j
     prev_full = False
-    for _slot, harvest, level, transmitted, success, age in trace_rows(
+    for _slot, harvest, level, transmitted, success, age in _trace_rows(
         SimConfig(params, 20_000, seed=8)
     ):
         assert harvest >= 0.0
@@ -1067,7 +1075,7 @@ def test_trace_energy_and_age_dynamics(ref_point):
 def test_windowed_age_equals_cycle_decomposition(ref_point):
     config = SimConfig(ref_point(), 50_000, seed=13)
     stats = summarize(sample_slot_events(config))
-    rows = list(trace_rows(config))
+    rows = list(_trace_rows(config))
     success_slots = [slot for slot, _h, _e, _tx, success, _a in rows if success]
     first, last = success_slots[0], success_slots[-1]
     ages = [age for slot, _h, _e, _tx, _s, age in rows if first <= slot < last]
@@ -1171,7 +1179,7 @@ def test_write_trace_round_trips(tmp_path, toy_point):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "slot,harvest_j,energy_j,transmitted,success,age"
     assert len(lines) == 201
-    rows = list(trace_rows(config))
+    rows = list(_trace_rows(config))
     for line, row in zip(lines[1:], rows):
         cells = line.split(",")
         assert int(cells[0]) == row[0]
@@ -1180,3 +1188,44 @@ def test_write_trace_round_trips(tmp_path, toy_point):
         assert int(cells[3]) == int(row[3])
         assert int(cells[4]) == int(row[4])
         assert int(cells[5]) == row[5]
+
+
+@pytest.mark.parametrize("power_w", [3e4, 300.0])
+def test_write_trace_does_not_depend_on_chunking(ref_point, power_w, tmp_path):
+    # At 3e4 W (beta 0.0146) most recharges take one slot, so most rows hold
+    # both a transmit and a fill, at chunk edges too. A shorter horizon
+    # keeps a prefix of the same rows, so ending it on a fill leaves that
+    # last fill without a transmission attempt.
+    params = ref_point(power_w=power_w)
+    horizon = int(sample_slot_events(SimConfig(params, 3_000, seed=9)).fill_slots[-3])
+    config = SimConfig(params, horizon, seed=9)
+    path = tmp_path / "trace.csv"
+    expected = write_trace(config, path)
+    log = trace_events(path, params.capacitor_j, horizon)
+    assert log.fill_slots[-1] == horizon
+    assert log.success.size == log.fill_slots.size - 1
+    assert summarize(log) == expected
+    for n in (1, 2, 7):
+        with _chunks_of(n):
+            assert write_trace(config, path) == expected
+            assert summarize(trace_events(path, params.capacitor_j, horizon)) == expected
+
+
+def test_write_trace_memory_stays_bounded(ref_point, tmp_path):
+    # beta 0.0146: nearly every slot fills. A traced run holds at most a
+    # chunk of its events, so four times the slots take no more memory.
+    def run(horizon):
+        return write_trace(SimConfig(ref_point(power_w=3e4), horizon, seed=1), tmp_path / "t.csv")
+
+    peaks = []
+    with _chunks_of(512):
+        run(100)
+        tracemalloc.start()
+        try:
+            for horizon in (4_000, 16_000):
+                tracemalloc.reset_peak()
+                run(horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
