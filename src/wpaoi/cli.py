@@ -155,8 +155,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep_b(args) -> int:
-    horizon = args.horizon if args.with_sim else None
-    rows = sweep_aoi_vs_B(_params_from_args(args), args.b_values, horizon, args.seed)
+    rows = sweep_aoi_vs_B(_params_from_args(args), args.b_values, args.horizon, args.seed)
     return _emit_rows(rows, args)
 
 
@@ -243,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-b", help="age versus capacitor size table")
     _add_physical_flags(p, need_capacitor=False)
     p.add_argument("--b-values", type=_float_list, required=True, help="comma-separated capacitor sizes")
-    p.add_argument("--with-sim", action="store_true", help="add simulated age and CI per point")
-    p.add_argument("--horizon", type=int, default=1_000_000, help="slots per simulated point (default 1e6)")
+    p.add_argument("--horizon", type=int, default=None,
+                   help="simulate each point over this many slots, adding its age and CI")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.set_defaults(func=_cmd_sweep_b)
 

@@ -33,19 +33,25 @@ __all__ = [
 
 
 def dbm_to_watts(x_dbm: float) -> float:
-    """Convert a power level in dBm to watts; inf beyond the float range."""
+    """Convert a power level in dBm to watts; inf beyond the float range.
+    NaN raises ValueError."""
+    if math.isnan(x_dbm):
+        raise ValueError(f"power level in dBm must be a number, got {x_dbm}")
     try:
         return 10.0 ** ((x_dbm - 30.0) / 10.0)
     except OverflowError:
         return math.inf
 
 
-def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> float:
+_C0 = 1e3  # channel gain rate at 1 m of the distance power law
+
+
+def channel_rate_from_distance(d_m: float, alpha: float) -> float:
     """Exponential rate of the channel power gain from a distance power law.
 
     The link budget maps distance to the rate lambda of the exponentially
-    distributed channel power gains as ``lambda = c0 * d**alpha``. Larger
-    lambda means a weaker channel (the mean gain is 1/lambda).
+    distributed channel power gains as ``lambda = c0 * d**alpha``, c0 = 1e3.
+    Larger lambda means a weaker channel (the mean gain is 1/lambda).
 
     Parameters
     ----------
@@ -53,8 +59,6 @@ def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> flo
         Distance in meters, > 0.
     alpha : float
         Path-loss exponent, > 0.
-    c0 : float, optional
-        Reference gain constant at 1 m.
 
     Returns
     -------
@@ -65,10 +69,8 @@ def channel_rate_from_distance(d_m: float, alpha: float, c0: float = 1e3) -> flo
         raise ValueError(f"distance must be positive, got {d_m}")
     if not alpha > 0.0:
         raise ValueError(f"path-loss exponent must be positive, got {alpha}")
-    if not c0 > 0.0:
-        raise ValueError(f"reference constant must be positive, got {c0}")
     try:
-        return c0 * d_m**alpha
+        return _C0 * d_m**alpha
     except OverflowError:
         raise ValueError(f"d_m**alpha overflows at distance {d_m} and exponent {alpha}") from None
 
@@ -243,13 +245,12 @@ def build_params(
     rate_bpcu: float = 0.05,
     distance_m: float | None = None,
     alpha: float = 2.2,
-    c0: float = 1e3,
     channel_rate: float | None = None,
 ) -> tuple[SystemParams, str | None]:
     """Assemble a SystemParams, resolving the channel rate.
 
     The channel rate may be given directly via ``channel_rate`` or through the
-    distance power law via ``distance_m`` (with ``alpha`` and ``c0``). If both
+    distance power law via ``distance_m`` (with ``alpha``). If both
     are supplied the direct rate wins and a warning string is returned as the
     second element; otherwise the second element is None.
     """
@@ -262,7 +263,7 @@ def build_params(
             )
         lam = channel_rate
     elif distance_m is not None:
-        lam = channel_rate_from_distance(distance_m, alpha, c0)
+        lam = channel_rate_from_distance(distance_m, alpha)
     else:
         raise ValueError("one of channel_rate or distance_m is required")
     params = SystemParams(

@@ -87,8 +87,6 @@ _CHUNK = 1 << 16
 _TABLE_MAX = 1 << 16
 _MAX_HORIZON = 1 << 62
 _INT64_MAX = (1 << 63) - 1
-# Largest X whose X*(X+1) fits in int64.
-_X_FITS = 3_037_000_499
 # Two-sided 95% quantile of the standard normal law.
 _Z975 = 1.959963984540054
 # random() draws the multiples of 1/_GRID below one.
@@ -448,26 +446,19 @@ def sample_events(config: SimConfig) -> EventLog:
     return EventLog(fills[:n], success[:a], config.horizon_slots)
 
 
-def _exact_sum(v: np.ndarray, top: int) -> int:
-    """Sum of non-negative int64 entries of at most ``top``, as a Python int.
-
-    Chunks of up to INT64_MAX // top entries are summed in int64, which
-    cannot wrap, and the chunk sums are added as Python ints.
-    """
-    step = _INT64_MAX // max(top, 1)
-    return sum(int(v[i : i + step].sum()) for i in range(0, v.size, step))
+def _exact_sum(v: np.ndarray) -> int:
+    """Sum of fewer than 2^31 non-negative int64 entries, as a Python int:
+    their high and low 32 bits are summed apart, and neither sum can wrap."""
+    return (int((v >> 32).sum()) << 32) + int((v & 0xFFFFFFFF).sum())
 
 
 def _square_sum(y: np.ndarray) -> int:
-    """Exact sum of y*y over int64 y, as a Python int. Entries above
-    ``_X_FITS`` in size, whose squares could wrap in int64, are squared as
-    Python ints."""
+    """Exact sum of y*y over fewer than 2^31 int64 entries, |y| < 2^62, as a
+    Python int: with |y| = hi*2^31 + lo, y*y = hi^2*2^62 + hi*lo*2^32 + lo^2,
+    and each product is below 2^62."""
     a = np.abs(y)
-    top = int(a.max()) if a.size else 0
-    if top > _X_FITS:
-        big = a > _X_FITS
-        return _square_sum(a[~big]) + sum(v * v for v in a[big].tolist())
-    return _exact_sum(a * a, top * top)
+    hi, lo = a >> 31, a & 0x7FFFFFFF
+    return (_exact_sum(hi * hi) << 62) + (_exact_sum(hi * lo) << 32) + _exact_sum(lo * lo)
 
 
 def batch_ci(samples, n_batches: int = 20) -> tuple[float, float]:
@@ -501,7 +492,7 @@ def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
     wherever n*top^4, top the largest |y|, cannot wrap it, from one
     histogram of v if v is non-negative with no entry above n and entry by
     entry if not. Any sums whose y^4 sum reaches 2^53 are taken entry by
-    entry in float.
+    entry in float, y^2 still exactly; every caller's |y| is below 2^62.
     """
     n = v.size
     if not n:
@@ -522,25 +513,19 @@ def _power_sums(v: np.ndarray, shift: int) -> tuple[int, float, float]:
             sums.append(int(w.sum()))
         if sums[2] < _EXACT_SUM:
             return sums[0], float(sums[1]), float(sums[2])
-    return _float_power_sums(v - shift, top)
+    return _float_power_sums(v - shift)
 
 
-def _float_power_sums(y: np.ndarray, top: int) -> tuple[int, float, float]:
-    """The sums of :func:`_power_sums` over int64 y, whose largest |y| is
-    ``top``, entry by entry in float; y is overwritten."""
+def _float_power_sums(y: np.ndarray) -> tuple[int, float, float]:
+    """The sums of :func:`_power_sums` over int64 y, |y| < 2^62, entry by
+    entry in float. The float y^2 is yf * yf, which below 2^53 is the exact
+    square rounded to float."""
     yf = y.astype(float)
-    if top > _X_FITS:
-        s2 = _square_sum(y)
-        y2 = yf * yf
-    else:
-        # y is exact as a float, so the rounded exact square is yf * yf.
-        np.multiply(y, y, out=y)
-        s2 = _exact_sum(y, top * top)
-        y2 = y.astype(float)
+    y2 = yf * yf
     np.multiply(y2, yf, out=yf)
     s3 = float(yf.sum())
     np.multiply(y2, y2, out=yf)
-    return s2, s3, float(yf.sum())
+    return _square_sum(y), s3, float(yf.sum())
 
 
 def _steps(v: np.ndarray, start) -> np.ndarray:

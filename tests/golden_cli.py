@@ -52,12 +52,10 @@ COMMANDS = {
     "validate_json": ["validate", *_REF, "--horizon", "10000000", "--seed", "7"],
     "validate_csv": ["validate", *_HIGH, "--horizon", "1000000", "--seed", "7", "--format", "csv"],
     "validate_no_success": ["validate", *_REF, "--horizon", "300", "--seed", "7"],
-    "sweep_b_with_sim": ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4,1e-3", "--with-sim",
+    "sweep_b_with_sim": ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4,1e-3",
                          "--horizon", "1000000", "--seed", "7"],
-    "sweep_b_json": ["sweep-b", "--power-w", "3", "--b-values", _SIZES, "--horizon", "1000000",
-                     "--format", "json"],
-    "sweep_b_csv": ["sweep-b", "--power-w", "3", "--b-values", _SIZES, "--horizon", "1000000",
-                    "--format", "csv"],
+    "sweep_b_json": ["sweep-b", "--power-w", "3", "--b-values", _SIZES, "--format", "json"],
+    "sweep_b_csv": ["sweep-b", "--power-w", "3", "--b-values", _SIZES, "--format", "csv"],
     "sweep_p_json": [*_SWEEP_P, "--format", "json"],
     "sweep_p_csv": [*_SWEEP_P, "--format", "csv"],
     "exit_2_unwritable_out": ["analytic", *_REF, "--out", os.path.join("missing", "out.json")],

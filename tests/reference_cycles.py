@@ -97,7 +97,7 @@ def extract_cycles(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _area(x: np.ndarray) -> int:
     """Exact sum of X*(X+1)/2 over int64 X >= 1, the slot ages of whole cycles."""
-    return (_square_sum(x) + _exact_sum(x, int(x.max()))) // 2
+    return (_square_sum(x) + _exact_sum(x)) // 2
 
 
 def empirical_aoi(x_intervals) -> float:
@@ -116,4 +116,4 @@ def empirical_aoi(x_intervals) -> float:
     x = x.astype(np.int64)
     if x.min() < 1:
         raise ValueError("interarrival samples must be >= 1")
-    return float(_area(x)) / float(_exact_sum(x, int(x.max())))
+    return float(_area(x)) / float(_exact_sum(x))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import xlogy
 from scipy.stats import poisson
 
 from wpaoi import (
@@ -23,7 +24,8 @@ from wpaoi import (
 )
 
 from conftest import truncation_k_max
-from wpaoi.analytics import _x2_overflows
+from wpaoi.analytics import _bd0, _x2_overflows
+from wpaoi.simulator import _table_size
 
 # Dyadic grid for exactness-sensitive draws: multiples of 1/512 carry at most
 # 26 significant bits, so squares and small integer combinations of them are
@@ -99,6 +101,47 @@ def test_recharge_pmf_matches_poisson_library():
         ours = recharge_pmf(beta, k)
         theirs = poisson.pmf(k - 1, beta)
         np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=1e-100)
+
+
+def _bd0_to_convergence(x, m):
+    """_bd0 with its series summed term by term until, for each x, a term
+    leaves the sum unchanged: one masked pass per term."""
+    out = np.empty_like(x)
+    near = np.abs(x - m) < 0.1 * (x + m)
+    far = ~near
+    if far.any():
+        xf = x[far]
+        out[far] = xlogy(xf, xf / m) + m - xf
+    if near.any():
+        xn = x[near]
+        v = (xn - m) / (xn + m)
+        s = (xn - m) * v
+        ej = 2.0 * xn * v
+        v2 = v * v
+        active = np.ones(xn.shape, dtype=bool)
+        j = 1
+        while active.any() and j < 1000:
+            ej[active] *= v2[active]
+            s_new = s[active] + ej[active] / (2 * j + 1)
+            converged = s_new == s[active]
+            s[active] = s_new
+            idx = np.flatnonzero(active)
+            active[idx[converged]] = False
+            j += 1
+        out[near] = s
+    return out
+
+
+def test_bd0_equals_the_series_summed_to_convergence():
+    # every x = k - 1 of the alias tables' range, k >= 2
+    for beta in np.geomspace(1.0, 62_506.0, 60).tolist():
+        x = np.arange(1.0, _table_size(beta))
+        assert np.array_equal(_bd0(x, beta), _bd0_to_convergence(x, beta)), beta
+    # x within 20% of m, m itself and its neighbours, from 1e-300 to 1e300
+    rng = np.random.default_rng(66)
+    for m in (10.0 ** rng.uniform(-300.0, 300.0, 200)).tolist():
+        x = np.concatenate([m * rng.uniform(0.8, 1.2, 500), [m, *np.nextafter(m, [0.0, math.inf])]])
+        assert np.array_equal(_bd0(x, m), _bd0_to_convergence(x, m)), m
 
 
 def test_recharge_pmf_normalizes_at_extreme_shapes():

@@ -75,6 +75,7 @@ def test_domain_error_exit_code(capsys):
         ["sweep-p", "--power-w", "3", "--p-values", "1,-inf"],
         ["sweep-p", "--power-w", "3", "--p-values", "1,3", "--r-values", "0.05,nan"],
         ["simulate", "--power-w", "3", "--capacitor-j", "nan"],
+        ["analytic", "--power-w", "3", "--capacitor-j", "3e-4", "--noise-dbm", "nan"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -149,6 +150,19 @@ def test_simulate_full_horizon_flag(capsys):
     code = run_cli(["simulate", *_TOY, "--horizon", "50000", "--seed", "11", "--warmup", "full"])
     assert code == 2
     assert "unrecognized arguments: --warmup full" in capsys.readouterr().err
+
+
+def test_sweep_b_simulates_exactly_when_given_a_horizon(capsys):
+    argv = ["sweep-b", "--power-w", "300", "--b-values", "1e-4,3e-4", "--format", "json"]
+    assert run_cli(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["delta_sim"] for row in rows] == [None, None]
+    assert run_cli([*argv, "--horizon", "20000"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert all(row["delta_sim"] > 0.0 and row["delta_sim_ci"] > 0.0 for row in rows)
+    # the horizon alone asks for the simulation
+    assert run_cli([*argv, "--horizon", "20000", "--with-sim"]) == 2
+    assert "unrecognized arguments: --with-sim" in capsys.readouterr().err
 
 
 def test_simulate_writes_trace(tmp_path, capsys):
@@ -423,7 +437,7 @@ def test_repeated_calls_match_a_fresh_process(tmp_path, capsys):
         ["simulate", *_TOY, "--horizon", "5"],
         ["optimize", "--power-w", "3"],
         ["optimize", "--power-w", "3", "--b-lo", "3e-3", "--b-hi", "3.0003e-3"],
-        ["sweep-b", "--power-w", "3", "--b-values", "1e-5,3e-4", "--with-sim", "--horizon", "300"],
+        ["sweep-b", "--power-w", "3", "--b-values", "1e-5,3e-4", "--horizon", "300"],
         ["sweep-p", "--power-w", "3", "--p-values", "1e-3,3,1e5", "--r-values", "0,0.05"],
         ["validate", *_TOY, "--horizon", "20000", "--seed", "1"],
     ],
@@ -522,8 +536,7 @@ def _assert_documented_exit(argv, values, codes):
 _BASE_ARGV = {
     "analytic": ["analytic", "--power-w", "3", "--capacitor-j", "3e-4"],
     "simulate": ["simulate", "--power-w", "3", "--capacitor-j", "3e-4", "--horizon", "20000"],
-    "sweep-b": ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4", "--with-sim",
-                "--horizon", "20000"],
+    "sweep-b": ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4", "--horizon", "20000"],
     "validate": ["validate", "--power-w", "300", "--capacitor-j", "3e-4", "--horizon", "20000"],
 }
 _PHYSICAL_FLAGS = ["--power-w", "--efficiency", "--noise-dbm", "--rate-bpcu", "--distance-m",

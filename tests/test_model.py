@@ -24,6 +24,14 @@ def test_dbm_to_watts_reference_points():
     assert dbm_to_watts(-50.0) == pytest.approx(1e-8, rel=1e-12)
 
 
+def test_dbm_to_watts_refuses_nan_and_saturates_at_infinities():
+    with pytest.raises(ValueError, match="nan"):
+        dbm_to_watts(math.nan)
+    assert dbm_to_watts(math.inf) == math.inf
+    assert dbm_to_watts(-math.inf) == 0.0
+    assert dbm_to_watts(1e4) == math.inf
+
+
 @given(st.floats(min_value=-120.0, max_value=90.0))
 def test_dbm_round_trip(x_dbm):
     # back to dBm: ten times the decimal log of the power in milliwatts
@@ -42,8 +50,6 @@ def test_channel_rate_from_distance_rejects_nonpositive():
         channel_rate_from_distance(0.0, 2.2)
     with pytest.raises(ValueError):
         channel_rate_from_distance(10.0, -1.0)
-    with pytest.raises(ValueError):
-        channel_rate_from_distance(10.0, 2.2, c0=0.0)
 
 
 def test_system_params_validation():

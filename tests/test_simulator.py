@@ -21,6 +21,7 @@ from wpaoi import (
     SimStats,
     average_aoi,
     batch_ci,
+    beta_pi,
     build_params,
     dbm_to_watts,
     derive,
@@ -38,15 +39,16 @@ from wpaoi.simulator import (
     _TABLE_BETA,
     _TABLE_FILLS,
     _TABLE_MAX,
-    _X_FITS,
     _Z975,
     _alias_draws,
     _alias_table,
     _cycle_sums,
     _decode_cut,
     _event_chunks,
+    _exact_sum,
     _power_sums,
     _renewal_fills,
+    _square_sum,
     _table_size,
     _trace_rows,
 )
@@ -183,6 +185,22 @@ def test_age_sums_do_not_wrap_at_long_horizons():
     target = average_aoi(d.beta, d.pi)
     assert stats.delta_ci_half < 0.02 * target
     assert abs(stats.delta_hat - target) < 3.0 * stats.delta_ci_half
+
+
+@pytest.mark.parametrize("n", [0, 1, 1_000, 65_536])
+def test_exact_and_square_sums_equal_python_int_sums(n):
+    rng = np.random.default_rng(n)
+    # |y| on either side of 2^31, of 3,037,000,499 (the largest X whose
+    # X*(X+1) fits in int64) and up to 2^62 - 1, with both signs
+    edges = np.array([0, 1, 2**31 - 1, 2**31, 2**31 + 1, 3_037_000_499, 3_037_000_500,
+                      2**32 - 1, 2**32, 2**53 + 1, 2**62 - 1])
+    y = rng.integers(-(2**62) + 1, 2**62, n)
+    # magnitudes of every bit length, all of them the largest, and the edges
+    for y in (y, y >> rng.integers(0, 62, n), np.full(n, 2**62 - 1), np.resize([*edges, *-edges], n)):
+        a = np.abs(y)
+        assert _exact_sum(a) == sum(a.tolist())
+        assert _square_sum(y) == sum(v * v for v in y.tolist())
+        assert type(_exact_sum(a)) is type(_square_sum(y)) is int
 
 
 def test_empirical_aoi_rejects_bad_input():
@@ -541,6 +559,62 @@ def test_alias_draws_equal_the_plain_rule(beta):
     assert 2**13 <= cells.size < 2**14 or cells.size == 8 * q.size
 
 
+# Table sizes from 43 to _TABLE_MAX entries.
+_EXACT_TABLE_BETAS = [
+    1.0, 1.456, 24.0, 145.6, 1_000.0, 4000.0, 20_000.0, 48_266.0, _LARGEST_TABLE_BETA
+]
+
+
+@pytest.mark.parametrize("beta", _EXACT_TABLE_BETAS)
+def test_alias_table_law_equals_the_recharge_pmf(beta):
+    # Entry j gives j with probability q[j], and entry i gives j with
+    # 1 - q[i] where alias[i] = j. Vose's method rounds at most K times, each
+    # time by at most an ulp of a q below K times the peak plus one, and
+    # passes what is left over to one last entry, whose q it sets to one:
+    # so the law is off by at most K ulps of the peak there (~1.5e-13 of the
+    # peak near beta 48,266), and by a few ulps elsewhere.
+    q, alias, _ = _alias_table(beta)
+    law = (q + np.bincount(alias, 1.0 - q, minlength=q.size)) / q.size
+    pmf = recharge_pmf(beta, np.arange(1, q.size + 1))
+    pmf /= pmf.sum()
+    assert np.abs(law - pmf).max() <= q.size * np.finfo(float).eps * pmf.max()
+
+
+@pytest.mark.parametrize("beta", _EXACT_TABLE_BETAS)
+def test_alias_cells_hold_each_entry_exactly(beta):
+    q, alias, cells = _alias_table(beta)
+    per = cells.size // q.size
+    block = cells.reshape(q.size, per)
+    e = q * per
+    j = np.arange(q.size)[:, None]
+    split = block == -1
+    assert np.all(split.sum(axis=1) == (e != np.floor(e)))
+    # j's own cells and its share of the split cell make up q[j]*2^m
+    own = (block == j).sum(axis=1) + (e - np.floor(e)) * split.any(axis=1)
+    assert np.array_equal(own, e)
+    # cell c holds j while c + 1 <= q[j]*2^m and alias[j] from c >= q[j]*2^m on
+    c = np.arange(per)
+    e = e[:, None]
+    assert np.array_equal(block, np.where(c + 1 <= e, j, np.where(c >= e, alias[:, None], -1)))
+
+
+def test_decode_cut_leaves_the_success_probability(ref_point):
+    # The draws that decode, from the cut on, have probability pi to
+    # within two points of the 2^-53 grid.
+    rng = np.random.default_rng(65)
+    points = 10.0 ** np.column_stack(
+        [rng.uniform(-2, 4, 2_000), rng.uniform(-5, 0, 2_000), rng.uniform(-3, 1, 2_000)]
+    )
+    checked = 0
+    for power_w, capacitor_j, rate_bpcu in points.tolist():
+        p = ref_point(power_w=power_w, capacitor_j=capacitor_j, rate_bpcu=rate_bpcu)
+        _, pi = beta_pi(p, capacitor_j)
+        if pi >= 1e-12:
+            assert abs((1.0 - _decode_cut(p)) - pi) <= 2.0 * 2.0**-53, p
+            checked += 1
+    assert checked >= 1_000
+
+
 def _concatenated_chunks(config):
     chunks = list(_event_chunks(config))
     fills = np.concatenate([f for f, _ in chunks] or [np.empty(0, dtype=np.int64)])
@@ -804,6 +878,11 @@ def _fourth_power_sum(total, n, top, rng):
     return rng.permutation(np.array(y + [0] * (n - len(y)), dtype=np.int64))
 
 
+# Largest X whose X*(X+1) fits in int64; squares on either side of it must
+# sum exactly.
+_X_FITS = 3_037_000_499
+
+
 def _power_sum_cases():
     """pytest.param(v, shift, the path _power_sums takes): an int64
     "histogram" or int64 "entries" when the exact sums fit, and "float"
@@ -857,9 +936,8 @@ def _power_sum_cases():
 
 @pytest.mark.parametrize("v, shift, path", _power_sum_cases())
 def test_power_sums_equal_the_plain_form(v, shift, path, monkeypatch):
-    # Below _X_FITS the float y^2 comes from the exact int64 square, which
-    # rounds to yf * yf; above it the squares are exact Python ints. The
-    # exact paths must give the float sums of the powers bit for bit.
+    # The float path must give the exact y^2 sum and the float sums of
+    # the float powers, and the exact paths the same, bit for bit.
     y = [int(a) - shift for a in v.tolist()]
     yf = v.astype(float) - float(shift)
     assert yf.tolist() == [float(a) for a in y]
