@@ -22,8 +22,6 @@ from .experiments import (
     SweepRow,
     ValidationReport,
     ValidationRow,
-    rows_to_csv,
-    rows_to_json,
     sweep_aoi_vs_B,
     sweep_minaoi_vs_P,
     validation_report,
@@ -79,8 +77,6 @@ __all__ = [
     "optimize_capacitors",
     "recharge_moments",
     "recharge_pmf",
-    "rows_to_csv",
-    "rows_to_json",
     "sample_events",
     "simulate",
     "sweep_aoi_vs_B",

@@ -299,12 +299,12 @@ def aoi_limit_ratio(theta: float, channel_rate: float, efficiency: float) -> flo
     c = channel_rate * theta / efficiency, leaving
     ``(1 + 3c + c**2) / (2 * (1 + c)) + 1/2``.
     """
-    if not theta >= 0.0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    if not channel_rate > 0.0:
-        raise ValueError(f"channel_rate must be positive, got {channel_rate}")
-    if not efficiency > 0.0:
-        raise ValueError(f"efficiency must be positive, got {efficiency}")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be non-negative and finite, got {theta}")
+    if not 0.0 < channel_rate < math.inf:
+        raise ValueError(f"channel_rate must be positive and finite, got {channel_rate}")
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
     return average_aoi(channel_rate * theta / efficiency, 1.0)
 
 

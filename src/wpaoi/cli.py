@@ -9,6 +9,12 @@ Subcommands:
 * ``sweep-p``: minimum age versus transmit power table.
 * ``validate``: closed forms against simulation with pass/fail verdicts.
 
+Every command writes through one writer, to ``--out`` or stdout: JSON by
+default, CSV by default for the two sweeps. Both sweep shapes share one
+fixed CSV schema, with empty fields where a column does not apply; JSON
+carries every field. Floats are written with their shortest round-tripping
+decimal representation, so the output is byte-stable and re-parses exactly.
+
 Exit codes: 0 on success, 2 on a usage error or an output file (``--out``,
 ``--trace``) that cannot be written, 3 on a domain error (invalid parameter
 values), 4 when a simulation decodes too few updates to measure.
@@ -18,16 +24,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import asdict, replace
+from json.encoder import encode_basestring_ascii
 
 from .analytics import analytic_report
 from .experiments import (
     ValidationReport,
-    _csv,
-    _json,
-    rows_to_csv,
-    rows_to_json,
     sweep_aoi_vs_B,
     sweep_minaoi_vs_P,
     validation_report,
@@ -58,7 +62,8 @@ def _add_physical_flags(parser: argparse.ArgumentParser, need_capacitor: bool) -
     parser.add_argument("--lambda", dest="channel_rate", type=float, default=None,
                         help="channel gain rate directly; overrides --distance-m")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+    parser.add_argument("--format", choices=("csv", "json"), default="json",
+                        help="output format (default %(default)s)")
 
 
 def _params_from_args(args):
@@ -82,33 +87,89 @@ def _params_from_args(args):
     return params
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
+# repr is the CSV and JSON text of these types, but for the words below.
+_REPR_TYPES = {float, int, bool, type(None)}
+_CSV_WORDS = {"None": "", "True": "1", "False": "0"}
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(values, words) -> list:
+    """The repr of each value, all of ``_REPR_TYPES``, or its word; C calls only."""
+    texts = [*map(repr, values)]
+    return [*map(words.get, texts, texts)]
+
+
+def _csv(header, rows) -> str:
+    """A line of column names, then one line per row of values, one value per
+    column: floats and ints by repr, booleans as 0/1, None as an empty field,
+    the rest by str."""
+    cells = [*itertools.chain.from_iterable(rows)]
+    if _REPR_TYPES.issuperset(map(type, cells)):
+        texts = _texts(cells, _CSV_WORDS)
+    else:
+        texts = [_texts([v], _CSV_WORDS)[0] if type(v) in _REPR_TYPES else str(v) for v in cells]
+    n = len(header)
+    lines = [",".join(header), *(",".join(texts[i : i + n]) for i in range(0, len(texts), n))]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
+    keys, lists, tuples, strings, ints, floats, booleans and None. Numbers
+    must be of exactly these types: a numpy scalar raises TypeError.
+
+    ``json.dumps`` skips its C encoder whenever ``indent`` is set. Here a
+    record of scalars is encoded in C calls and filled into a template made
+    once per sequence of keys and depth.
+    """
+    if type(obj) in _REPR_TYPES:
+        return _texts([obj], _JSON_WORDS)[0]
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        values = obj.values()
+        fast = _REPR_TYPES.issuperset(map(type, values))
+        texts = _texts(values, _JSON_WORDS) if fast else [_json(value, inner) for value in values]
+        return _json_template(tuple(obj), indent) % tuple(texts) if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = ",\n".join(inner + _json(item, inner) for item in obj)
+        return f"[\n{items}\n{indent}]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=64)
+def _json_template(keys: tuple, indent: str) -> str:
+    inner = indent + "  "
+    items = (inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+
+
+# The CSV columns of both sweep shapes; JSON carries every SweepRow field.
+_SWEEP_COLUMNS = ("swept_value", "beta", "pi", "delta_analytic", "delta_sim", "delta_sim_ci", "b_star", "delta_star")
+
+
+def _write(args, obj, rows, columns=None) -> None:
+    """Write ``obj`` as JSON or ``rows``, dicts, as CSV under ``columns``
+    (by default the first row's keys), as ``--format`` says, to ``--out`` or
+    stdout."""
+    if args.format == "json":
+        text = _json(obj) + "\n"
+    else:
+        columns = columns or rows[0].keys()
+        text = _csv(columns, (map(row.__getitem__, columns) for row in rows))
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _emit_payload(payload: dict, fmt: str, out) -> None:
-    """One record as JSON, or as a CSV header and line in which a pair value,
-    such as a bracket, becomes two columns, ``<key>_lo`` and ``<key>_hi``,
-    after the others."""
-    if fmt == "json":
-        _emit(_json(payload) + "\n", out)
-        return
-    pairs = {k: v for k, v in payload.items() if isinstance(v, (list, tuple))}
-    record = {k: v for k, v in payload.items() if k not in pairs}
-    for k, (lo, hi) in pairs.items():
-        record[f"{k}_lo"], record[f"{k}_hi"] = lo, hi
-    _emit(_csv(record, [record.values()]), out)
 
 
 def _cmd_analytic(args) -> int:
     params = _params_from_args(args)
     d = derive(params)
     payload = asdict(analytic_report(d.beta, d.pi))
-    _emit_payload(payload, args.format or "json", args.out)
+    _write(args, payload, [payload])
     return 0
 
 
@@ -132,7 +193,7 @@ def _cmd_simulate(args) -> int:
         # the window the statistics describe
         "warmup": "first_success_to_last_success",
     }
-    _emit_payload(payload, args.format or "json", args.out)
+    _write(args, payload, [payload])
     return 0
 
 
@@ -150,22 +211,26 @@ def _cmd_optimize(args) -> int:
         "converged": result.converged,
         "on_boundary": result.on_boundary,
     }
-    _emit_payload(payload, args.format or "json", args.out)
+    # CSV has no list cell: the bracket becomes two columns after the others.
+    row = {k: v for k, v in payload.items() if k != "bracket"}
+    row["bracket_lo"], row["bracket_hi"] = result.bracket
+    _write(args, payload, [row])
     return 0
 
 
 def _cmd_sweep_b(args) -> int:
     rows = sweep_aoi_vs_B(_params_from_args(args), args.b_values, args.horizon, args.seed)
-    return _emit_rows(rows, args)
+    # A row's __dict__ holds its fields in order, every one a scalar, so it
+    # equals dataclasses.asdict, which deep-copies each value.
+    records = [vars(row) for row in rows]
+    _write(args, records, records, _SWEEP_COLUMNS)
+    return 0
 
 
 def _cmd_sweep_p(args) -> int:
     rows = sweep_minaoi_vs_P(_params_from_args(args), args.p_values, args.r_values)
-    return _emit_rows(rows, args)
-
-
-def _emit_rows(rows, args) -> int:
-    _emit(rows_to_json(rows) if args.format == "json" else rows_to_csv(rows), args.out)
+    records = [vars(row) for row in rows]
+    _write(args, records, records, _SWEEP_COLUMNS)
     return 0
 
 
@@ -199,11 +264,8 @@ def _cmd_validate(args) -> int:
         # sim_error already carries the run's counters
         print(f"error: {report.sim_error}", file=sys.stderr)
         return 4
-    if args.format == "csv":
-        records = [asdict(row) for row in report.rows]
-        _emit(_csv(records[0], (record.values() for record in records)), args.out)
-    else:
-        _emit_payload(asdict(report), "json", args.out)
+    payload = asdict(report)
+    _write(args, payload, payload["rows"])
     return 0
 
 
@@ -241,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-b", help="age versus capacitor size table")
     _add_physical_flags(p, need_capacitor=False)
+    p.set_defaults(format="csv")
     p.add_argument("--b-values", type=_float_list, required=True, help="comma-separated capacitor sizes")
     p.add_argument("--horizon", type=int, default=None,
                    help="simulate each point over this many slots, adding its age and CI")
@@ -249,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-p", help="minimum age versus transmit power table")
     _add_physical_flags(p, need_capacitor=False)
+    p.set_defaults(format="csv")
     p.add_argument("--p-values", type=_float_list, required=True,
                    help="comma-separated powers in watts; each replaces --power-w, "
                    "which sweep-p only checks for validity")

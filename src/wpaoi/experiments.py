@@ -1,4 +1,4 @@
-"""Parameter sweeps and analytic-vs-simulation validation, with file output.
+"""Parameter sweeps and analytic-vs-simulation validation.
 
 The two sweep shapes mirror the standard presentation of this system: the
 average age as a function of the capacitor size at several transmit powers
@@ -7,20 +7,13 @@ of transmit power at several spectral efficiencies. Each sweep takes a base
 operating point and the values that replace its fields, and refuses exactly
 the points that :func:`~wpaoi.model.derive` refuses.
 
-Sweep rows serialize to a single fixed CSV schema for both shapes, with
-empty fields where a column does not apply, and to JSON with every field
-present. Floats are written with their shortest round-tripping decimal
-representation so emitted files are byte-stable and re-parse exactly.
+The results are dataclasses; :mod:`wpaoi.cli` writes them as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,14 +26,10 @@ __all__ = [
     "SweepRow",
     "sweep_aoi_vs_B",
     "sweep_minaoi_vs_P",
-    "rows_to_csv",
-    "rows_to_json",
     "ValidationRow",
     "ValidationReport",
     "validation_report",
 ]
-
-_CSV_HEADER = "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
 
 
 @dataclass(frozen=True)
@@ -48,9 +37,10 @@ class SweepRow:
     """One sweep point. Optional fields stay None where they do not apply.
 
     ``rate_bpcu`` and ``boundary`` are carried for the minimum-age sweep
-    (which runs one optimization per power and spectral efficiency) and
-    appear in JSON output only; the CSV schema is fixed. A failed simulation
-    leaves ``delta_sim`` empty and the reason in ``sim_error``.
+    (which runs one optimization per power and spectral efficiency). The
+    CLI writes every field as JSON, but as CSV only the columns of the
+    fixed sweep schema. A failed simulation leaves ``delta_sim`` None and
+    the reason in ``sim_error``.
     """
 
     swept_value: float
@@ -139,77 +129,6 @@ def sweep_minaoi_vs_P(base: SystemParams, p_values, r_values) -> list[SweepRow]:
                  rate_bpcu=params.rate_bpcu, boundary=opt.on_boundary)
         for params, opt, b, p in zip(lanes, opts, beta.tolist(), pi.tolist())
     ]
-
-
-def rows_to_csv(rows) -> str:
-    """Serialize sweep rows to the fixed CSV schema, one line per row."""
-    keys = _CSV_HEADER.split(",")
-    return _csv(keys, map(operator.attrgetter(*keys), rows))
-
-
-def rows_to_json(rows) -> str:
-    """Serialize sweep rows to JSON with every field present."""
-    # A row's __dict__ holds its fields in order, every one a scalar, so it
-    # equals dataclasses.asdict, which deep-copies each value.
-    return _json([vars(row) for row in rows]) + "\n"
-
-
-# repr is the CSV and JSON text of these types, but for the words below.
-_REPR_TYPES = {float, int, bool, type(None)}
-_CSV_WORDS = {"None": "", "True": "1", "False": "0"}
-_JSON_WORDS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _texts(values, words) -> list:
-    """The repr of each value, all of ``_REPR_TYPES``, or its word; C calls only."""
-    texts = [*map(repr, values)]
-    return [*map(words.get, texts, texts)]
-
-
-def _csv(header, rows) -> str:
-    """A line of column names, then one line per row of values, one value per
-    column: floats and ints by repr, booleans as 0/1, None as an empty field,
-    the rest by str."""
-    cells = [*itertools.chain.from_iterable(rows)]
-    if _REPR_TYPES.issuperset(map(type, cells)):
-        texts = _texts(cells, _CSV_WORDS)
-    else:
-        texts = [_texts([v], _CSV_WORDS)[0] if type(v) in _REPR_TYPES else str(v) for v in cells]
-    n = len(header)
-    lines = [",".join(header), *(",".join(texts[i : i + n]) for i in range(0, len(texts), n))]
-    return "\n".join(lines) + "\n"
-
-
-def _json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
-    keys, lists, tuples, strings, ints, floats, booleans and None. Numbers
-    must be of exactly these types: a numpy scalar raises TypeError.
-
-    ``json.dumps`` skips its C encoder whenever ``indent`` is set. Here a
-    record of scalars is encoded in C calls and filled into a template made
-    once per sequence of keys and depth.
-    """
-    if type(obj) in _REPR_TYPES:
-        return _texts([obj], _JSON_WORDS)[0]
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        values = obj.values()
-        fast = _REPR_TYPES.issuperset(map(type, values))
-        texts = _texts(values, _JSON_WORDS) if fast else [_json(value, inner) for value in values]
-        return _json_template(tuple(obj), indent) % tuple(texts) if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(inner + _json(item, inner) for item in obj)
-        return f"[\n{items}\n{indent}]" if obj else "[]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-@functools.lru_cache(maxsize=64)
-def _json_template(keys: tuple, indent: str) -> str:
-    inner = indent + "  "
-    items = (inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
 @dataclass(frozen=True)

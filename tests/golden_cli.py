@@ -11,7 +11,8 @@ Rewrite the fixtures from the current code with::
 
     PYTHONPATH=src python tests/golden_cli.py
 
-and name each changed file, with the reason, in CHANGES.md.
+It rewrites only the files whose bytes changed and prints their names; name
+each one, with the reason, in CHANGES.md.
 """
 
 import contextlib
@@ -58,6 +59,7 @@ COMMANDS = {
     "sweep_b_csv": ["sweep-b", "--power-w", "3", "--b-values", _SIZES, "--format", "csv"],
     "sweep_p_json": [*_SWEEP_P, "--format", "json"],
     "sweep_p_csv": [*_SWEEP_P, "--format", "csv"],
+    "sweep_p_default": ["sweep-p", "--power-w", "3", "--p-values", "1,3,10"],
     "exit_2_unwritable_out": ["analytic", *_REF, "--out", os.path.join("missing", "out.json")],
     "exit_3_domain": ["analytic", "--power-w", "-3", "--capacitor-j", "3e-4"],
 }
@@ -81,17 +83,28 @@ def run(argv, workdir) -> tuple[str, str, int, dict | None]:
     return out.getvalue(), err.getvalue(), code, trace
 
 
+def _rewrite(path: Path, data: bytes) -> bool:
+    """Write ``data`` to ``path`` unless it holds those bytes already; say
+    whether it wrote."""
+    if path.exists() and path.read_bytes() == data:
+        return False
+    path.write_bytes(data)
+    print(path.name)
+    return True
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
+    changed = 0
     for name, argv in COMMANDS.items():
         with tempfile.TemporaryDirectory() as workdir:
             stdout, stderr, code, trace = run(argv, workdir)
-        (GOLDEN / f"{name}.out").write_bytes(stdout.encode())
-        (GOLDEN / f"{name}.err").write_bytes(stderr.encode())
+        changed += _rewrite(GOLDEN / f"{name}.out", stdout.encode())
+        changed += _rewrite(GOLDEN / f"{name}.err", stderr.encode())
         manifest[name] = {"argv": argv, "code": code, "trace": trace}
-    (GOLDEN / "commands.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"wrote {len(manifest)} commands to {GOLDEN}", file=sys.stderr)
+    changed += _rewrite(GOLDEN / "commands.json", (json.dumps(manifest, indent=1) + "\n").encode())
+    print(f"ran {len(manifest)} commands; {changed} files in {GOLDEN} changed", file=sys.stderr)
 
 
 if __name__ == "__main__":

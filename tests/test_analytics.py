@@ -80,6 +80,11 @@ _NAN = math.nan
         (analytic_report, (math.inf, 0.5)),
         (aoi_limit_ratio, (math.inf, 1.0, 1.0)),
         (aoi_limit_ratio, (1e300, 1e300, 1.0)),  # beta overflows to inf
+        (aoi_limit_ratio, (0.0, math.inf, 0.5)),
+        (aoi_limit_ratio, (1.0, _NAN, 0.5)),
+        (aoi_limit_ratio, (1.0, 1.0, _NAN)),
+        (aoi_limit_ratio, (1.0, 1.0, math.inf)),
+        (aoi_limit_ratio, (1.0, 1.0, 2.0)),  # an efficiency SystemParams refuses
         (recharge_pmf, (math.inf, [1, 2])),
     ],
     ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)),
@@ -363,6 +368,15 @@ def test_aoi_limit_ratio():
     )
     with pytest.raises(ValueError):
         aoi_limit_ratio(-1.0, 1.0, 1.0)
+    # A bad argument is refused by its own name, not by the beta it makes.
+    for args, name in [
+        ((math.inf, 1.0, 0.5), "theta"),
+        ((0.0, math.inf, 0.5), "channel_rate"),
+        ((1.0, 1.0, 2.0), "efficiency"),
+        ((1.0, 1.0, math.inf), "efficiency"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            aoi_limit_ratio(*args)
 
 
 def test_analytic_report_is_consistent():

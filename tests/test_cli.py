@@ -57,6 +57,16 @@ def test_help_exits_cleanly():
     assert run_cli(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "command, default",
+    [("analytic", "json"), ("simulate", "json"), ("optimize", "json"), ("validate", "json"),
+     ("sweep-b", "csv"), ("sweep-p", "csv")],
+)
+def test_help_states_the_default_format(command, default, capsys):
+    assert run_cli([command, "--help"]) == 0
+    assert f"output format (default {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_domain_error_exit_code(capsys):
     code = run_cli(["analytic", "--power-w", "-3", "--capacitor-j", "3e-4"])
     assert code == 3

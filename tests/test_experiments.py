@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 from dataclasses import asdict, replace
@@ -13,17 +16,24 @@ from wpaoi import (
     dbm_to_watts,
     derive,
     optimize_capacitor,
-    rows_to_csv,
-    rows_to_json,
     sweep_aoi_vs_B,
     sweep_minaoi_vs_P,
     validation_report,
 )
-from wpaoi.cli import _format_validation_report
-from wpaoi.experiments import _CSV_HEADER, _csv, _json
+from wpaoi.cli import _SWEEP_COLUMNS, _csv, _format_validation_report, _json, _write
 
 _B_GRID = (1e-4, 3.36e-4, 1e-3)
 _DELTAS = (622.36583866962915, 271.39091688037567, 386.681949809714)
+_CSV_HEADER = ",".join(_SWEEP_COLUMNS)
+
+
+def _sweep_output(rows, fmt: str) -> str:
+    """What a sweep command writes for ``rows`` in the format ``fmt``."""
+    records = [vars(row) for row in rows]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write(argparse.Namespace(format=fmt, out=None), records, records, _SWEEP_COLUMNS)
+    return out.getvalue()
 
 
 def test_sweep_spec_validation(ref_point):
@@ -172,7 +182,7 @@ def test_minimum_age_sweep_validates_inputs(ref_point):
 
 def test_csv_schema_and_exact_round_trip(ref_point):
     rows = sweep_aoi_vs_B(ref_point(), _B_GRID)
-    text = rows_to_csv(rows)
+    text = _sweep_output(rows, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == _CSV_HEADER
     assert lines[0] == "swept_value,beta,pi,delta_analytic,delta_sim,delta_sim_ci,b_star,delta_star"
@@ -187,14 +197,14 @@ def test_csv_schema_and_exact_round_trip(ref_point):
 
 
 def test_csv_output_is_reproducible(ref_point):
-    first = rows_to_csv(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4))
-    second = rows_to_csv(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4))
+    first = _sweep_output(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4), "csv")
+    second = _sweep_output(sweep_aoi_vs_B(ref_point(), _B_GRID, horizon=100_000, seed=4), "csv")
     assert first == second
 
 
 def test_json_rows_carry_all_fields(ref_point):
     rows = sweep_minaoi_vs_P(ref_point(capacitor_j=1.0), (3.0,), r_values=[0.05])
-    payload = json.loads(rows_to_json(rows))
+    payload = json.loads(_sweep_output(rows, "json"))
     assert payload[0]["rate_bpcu"] == 0.05
     assert payload[0]["b_star"] == pytest.approx(3.37026978103e-4, rel=5e-3)
     assert payload[0]["boundary"] is False
@@ -224,8 +234,8 @@ def test_json_rows_equal_dataclass_asdict():
             sim_error="fewer than two decoded updates",
         ),
     ]
-    assert rows_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
-    assert rows_to_json([]) == "[]\n"
+    assert _sweep_output(rows, "json") == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+    assert _sweep_output([], "json") == "[]\n"
 
 
 # Strings of the kind a sim_error or a key may hold: non-ASCII, control,
@@ -281,16 +291,16 @@ def test_json_rows_with_odd_sim_errors_equal_json_dumps(sim_error):
         SweepRow(1e-4, math.nan, 0.0, math.inf, sim_error=sim_error),
         SweepRow(2e-4, 1.0, 5e-324, -math.inf, -0.0, None, boundary=True, sim_error=sim_error),
     ]
-    assert rows_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+    assert _sweep_output(rows, "json") == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
 def test_csv_writer_of_rows_keeps_its_format():
-    assert rows_to_csv([]) == _CSV_HEADER + "\n"
+    assert _sweep_output([], "csv") == _CSV_HEADER + "\n"
     rows = [
         SweepRow(1e-4, 48.5, 0.1, 622.36583866962915),
         SweepRow(3.0, 0.1 + 0.2, 5e-324, math.inf, math.nan, -0.0, 3.37e-4, -math.inf, 0.05, True),
     ]
-    lines = rows_to_csv(rows).split("\n")
+    lines = _sweep_output(rows, "csv").split("\n")
     assert lines == [
         _CSV_HEADER,
         "0.0001,48.5,0.1,622.3658386696292,,,,",

@@ -53,4 +53,4 @@ def test_public_signatures():
     assert names(wpaoi.sweep_aoi_vs_B) == ["base", "b_values", "horizon", "seed"]
     assert inspect.signature(wpaoi.sweep_aoi_vs_B).parameters["horizon"].default is None
     assert names(wpaoi.sweep_minaoi_vs_P) == ["base", "p_values", "r_values"]
-    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 35
+    assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 33
