@@ -20,7 +20,7 @@ import numpy as np
 from .analytics import analytic_report, average_aoi
 from .model import SystemParams, _refuse, beta_pi, derive
 from .optimizer import optimize_capacitors
-from .simulator import NoSuccessError, SimConfig, _cycle_sums, sample_events, simulate
+from .simulator import NoSuccessError, SimConfig, _reduce_log, sample_events, simulate
 
 __all__ = [
     "SweepRow",
@@ -172,29 +172,26 @@ def validation_report(params: SystemParams, horizon: int, seed: int) -> Validati
     """
     d = derive(params)
     ref = analytic_report(d.beta, d.pi)
-    sums = _cycle_sums(sample_events(SimConfig(params, horizon, seed)))
-    counts = {
-        "n_recharges": sums.n_fills,
-        "n_attempts": sums.n_attempts,
-        "n_successes": sums.n_successes,
-        "horizon_slots": horizon,
-        "seed": seed,
-    }
+    rows, sim_error = [], None
     try:
-        stats = sums.stats()
+        run, moment_halves = _reduce_log(sample_events(SimConfig(params, horizon, seed)))
     except NoSuccessError as exc:
-        return ValidationReport(rows=(), all_passed=False, **counts, sim_error=str(exc))
-    measured = (
-        ("e_t", ref.e_t, stats.t_samples_mean, 0.02),
-        ("e_t2", ref.e_t2, stats.t_samples_m2, 0.02),
-        ("e_x", ref.e_x, stats.x_samples_mean, 0.02),
-        ("e_x2", ref.e_x2, stats.x_samples_m2, 0.02),
-        ("delta", ref.delta, stats.delta_hat, 0.01),
+        run, sim_error = exc, str(exc)
+    else:
+        measured = (
+            ("e_t", ref.e_t, run.t_samples_mean, 0.02),
+            ("e_t2", ref.e_t2, run.t_samples_m2, 0.02),
+            ("e_x", ref.e_x, run.x_samples_mean, 0.02),
+            ("e_x2", ref.e_x2, run.x_samples_m2, 0.02),
+            ("delta", ref.delta, run.delta_hat, 0.01),
+        )
+        halves = (*moment_halves, run.delta_ci_half)
+        for (name, target, empirical, tol), half in zip(measured, halves):
+            rel = abs(empirical - target) / target
+            rows.append(ValidationRow(name, target, empirical, half, rel, tol, passed=rel < tol))
+    return ValidationReport(
+        rows=tuple(rows), all_passed=bool(rows) and all(r.passed for r in rows),
+        n_recharges=run.n_recharges, n_attempts=run.n_attempts, n_successes=run.n_successes,
+        horizon_slots=horizon, seed=seed, sim_error=sim_error,
     )
-    halves = (*sums.moment_halves(), stats.delta_ci_half)
-    rows = []
-    for (name, target, empirical, tol), half in zip(measured, halves):
-        rel = abs(empirical - target) / target
-        rows.append(ValidationRow(name, target, empirical, half, rel, tol, passed=rel < tol))
-    return ValidationReport(rows=tuple(rows), all_passed=all(r.passed for r in rows), **counts)
 

@@ -70,9 +70,13 @@ def channel_rate_from_distance(d_m: float, alpha: float) -> float:
     if not alpha > 0.0:
         raise ValueError(f"path-loss exponent must be positive, got {alpha}")
     try:
-        return _C0 * d_m**alpha
+        rate = _C0 * d_m**alpha
     except OverflowError:
-        raise ValueError(f"d_m**alpha overflows at distance {d_m} and exponent {alpha}") from None
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        bound = "underflows to zero" if rate == 0.0 else "overflows"
+        raise ValueError(f"d_m**alpha {bound} at distance {d_m} and exponent {alpha}")
+    return rate
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,19 @@ the age keeps growing.
 
 Two execution paths sample this system:
 
-* :func:`sample_events`, the default engine behind :func:`simulate`, draws
-  one recharge time per update. The harvest is a Poisson process in energy
-  and the overshoot past B is discarded, so every recharge time is exactly
-  ``1 + Poisson(beta)``. Its cost grows with the number of fills, not slots:
-  a long enough run at beta of at least 1 draws them from a Walker alias
-  table of the recharge law, one uniform and mostly one cell lookup per
-  fill, and any other run with numpy's Poisson sampler. The table of the
-  last beta and the decode cut of the last operating point are kept, so
-  runs at one operating point find them once. The fill slots of a chunk of
-  draws are one running sum, cut at the horizon by one binary search on
-  the table path.
+* The renewal engine, ``_event_chunks``, draws one recharge time per
+  update and yields the fills and decode outcomes a chunk at a time:
+  :func:`simulate` reduces the chunks as they come, and
+  :func:`sample_events` gathers them into an event log. The harvest is a
+  Poisson process in energy and the overshoot past B is discarded, so
+  every recharge time is exactly ``1 + Poisson(beta)``. Its cost grows with
+  the number of fills, not slots: a long enough run at beta of at least 1
+  draws them from a Walker alias table of the recharge law, one uniform and
+  mostly one cell lookup per fill, and any other run with numpy's Poisson
+  sampler. The table of the last beta and the decode cut of the last
+  operating point are kept, so runs at one operating point find them once.
+  The fill slots of a chunk of draws are one running sum, cut at the
+  horizon by one binary search on the table path.
 * :func:`write_trace` runs the slot dynamics themselves, one plain loop
   iteration per slot (``_trace_rows``), and writes the harvested energy,
   capacitor level, transmit flag, decode outcome and age of every slot as a
@@ -586,93 +588,25 @@ def _ratio_half(n: int, s1: int, k: int, y2: int, y3: float, y4: float) -> float
     return _Z975 * math.sqrt(max(var, 0.0) / n) * n / s1
 
 
-@dataclass(frozen=True)
-class _CycleSums:
-    """Everything the streaming reduction keeps of one run.
-
-    The counters cover the whole run. The decoded update of fill index a
-    (0-based), at fill slot u, closes an interarrival cycle; ``first_*`` and
-    ``last_*`` are the first and the last one, and the measurement window
-    runs between them. ``t_window`` covers the recharge times of the fills
-    after the first decoded update up to and including the last, and
-    ``x_window`` the interarrival times between decoded updates. Each holds
-    the sums of y^2 (an exact integer), y^3 and y^4 of :func:`_power_sums`,
-    where y is T less the run's first recharge time (``first_fill``) or X
-    less the first interarrival time, counted from the origin
-    (``first_update_fill``). Counts, plain sums and attempt totals follow
-    exactly from the fill slots and indices.
-    """
-
-    horizon_slots: int
-    n_fills: int
-    n_attempts: int
-    n_successes: int
-    first_fill: int
-    first_update_fill: int
-    first_update_index: int
-    last_update_fill: int
-    last_update_index: int
-    t_window: tuple
-    x_window: tuple
-
-    def _measured(self):
-        """(n, sum, shift, then the sums of :func:`_power_sums`) of the
-        recharge and of the interarrival times in the measurement window."""
-        if self.n_successes < 2:
-            message = (
-                "fewer than two decoded updates, measurement window is empty"
-                if self.n_successes
-                else "no decoded update in horizon"
-            )
-            raise NoSuccessError(
-                message, self.n_fills, self.n_attempts, self.n_successes, self.horizon_slots
-            )
-        u0, u1 = self.first_update_fill, self.last_update_fill
-        n_t = self.last_update_index - self.first_update_index
-        t = (n_t, u1 - u0, self.first_fill, *self.t_window)
-        # The first cycle runs from the origin; it is u0, the shift of x, and
-        # lies outside the window.
-        x = (self.n_successes - 1, u1 - u0, u0, *self.x_window)
-        return t, x
-
-    def stats(self) -> SimStats:
-        """The run's :class:`SimStats`. The window's updates took one
-        attempt per fill in it, and its age total is the sum of the cycles'
-        X(X+1)/2."""
-        t, x = self._measured()
-        n_slots = x[1]
-        area = (_square_total(*x) + n_slots) // 2
-        return SimStats(
-            delta_hat=float(area) / float(n_slots),
-            delta_ci_half=_ratio_half(*x),
-            t_samples_mean=float(t[1]) / t[0],
-            t_samples_m2=float(_square_total(*t)) / t[0],
-            x_samples_mean=float(x[1]) / x[0],
-            x_samples_m2=float(_square_total(*x)) / x[0],
-            m_mean=float(t[0]) / x[0],
-            n_recharges=self.n_fills,
-            n_attempts=self.n_attempts,
-            n_successes=self.n_successes,
-            n_slots_measured=n_slots,
-        )
-
-    def moment_halves(self) -> tuple[float, float, float, float]:
-        """95% half-widths of the means of T, T^2, X and X^2 in the window.
-        The recharge times are i.i.d., and so are the interarrival times, so
-        each is an i.i.d. interval."""
-        t, x = self._measured()
-        return (*_moment_halves(*t), *_moment_halves(*x))
-
-
-def _reduce(chunks, horizon: int) -> _CycleSums:
+def _reduce(chunks, horizon: int) -> tuple[SimStats, tuple[float, float, float, float]]:
     """Reduce the (fill slots, decode outcomes) chunks of one run, in fill
-    order, to its :class:`_CycleSums`. A chunk's decode outcomes may stop
-    short of its fills only at the end of the run.
+    order, to its :class:`SimStats` and the i.i.d. 95% half-widths of the
+    means of T, T^2, X and X^2 in the measurement window. A chunk's decode
+    outcomes may stop short of its fills only at the end of the run.
 
-    The sums of the fills after the latest decoded update stay in ``tail``
-    until the next one moves them into the window, so the window never
-    needs to look back. The fills up to the first decoded update lie
-    outside the window and add to no sum.
+    The window runs from the first to the last decoded update, ``first`` and
+    ``last``, each a (fill slot, 0-based fill index). ``window`` and
+    ``x_window`` hold the :func:`_power_sums` of its recharge times less the
+    run's first one and of its interarrival times less the first, counted
+    from the origin. The sums of the fills after the latest decoded update
+    stay in ``tail`` until the next one moves them into the window, so the
+    window never needs to look back. The window's updates took one attempt
+    per fill in it, and its age total is the sum of the cycles' X(X+1)/2.
+
+    Raises
+    ------
+    NoSuccessError
+        If fewer than two updates are decoded.
     """
     n_fills = n_attempts = n_successes = 0
     first_fill = last_fill = 0
@@ -705,14 +639,39 @@ def _reduce(chunks, horizon: int) -> _CycleSums:
         n_fills += fills.size
         n_attempts += success.size
         last_fill = int(fills[-1])
-    return _CycleSums(
-        horizon, n_fills, n_attempts, n_successes, first_fill, *first, *last, window, x_window
+    if n_successes < 2:
+        message = (
+            "fewer than two decoded updates, measurement window is empty"
+            if n_successes
+            else "no decoded update in horizon"
+        )
+        raise NoSuccessError(message, n_fills, n_attempts, n_successes, horizon)
+    # (n, sum, shift, then the sums of _power_sums) of T and of X. The first
+    # cycle runs from the origin; it is u0, the shift of X, and lies outside
+    # the window.
+    (u0, a0), (u1, a1) = first, last
+    t_sums = (a1 - a0, u1 - u0, first_fill, *window)
+    x_sums = (n_successes - 1, u1 - u0, u0, *x_window)
+    n_slots = x_sums[1]
+    area = (_square_total(*x_sums) + n_slots) // 2
+    stats = SimStats(
+        delta_hat=float(area) / float(n_slots),
+        delta_ci_half=_ratio_half(*x_sums),
+        t_samples_mean=float(t_sums[1]) / t_sums[0],
+        t_samples_m2=float(_square_total(*t_sums)) / t_sums[0],
+        x_samples_mean=float(x_sums[1]) / x_sums[0],
+        x_samples_m2=float(_square_total(*x_sums)) / x_sums[0],
+        m_mean=float(t_sums[0]) / x_sums[0],
+        n_recharges=n_fills,
+        n_attempts=n_attempts,
+        n_successes=n_successes,
+        n_slots_measured=n_slots,
     )
+    return stats, (*_moment_halves(*t_sums), *_moment_halves(*x_sums))
 
 
-def _cycle_sums(log: EventLog) -> _CycleSums:
-    """Reduce an event log of :func:`sample_events`, fed in chunks, to its
-    :class:`_CycleSums`."""
+def _reduce_log(log: EventLog) -> tuple[SimStats, tuple[float, float, float, float]]:
+    """:func:`_reduce` of an event log of :func:`sample_events`, fed in chunks."""
     fills, success = log.fill_slots, log.success
     chunks = (
         (fills[i : i + _CHUNK], success[i : i + _CHUNK]) for i in range(0, fills.size, _CHUNK)
@@ -734,7 +693,7 @@ def simulate(config: SimConfig) -> SimStats:
         If fewer than two updates are decoded (no complete cycle fits in the
         measurement window).
     """
-    return _reduce(_event_chunks(config), config.horizon_slots).stats()
+    return _reduce(_event_chunks(config), config.horizon_slots)[0]
 
 
 def _trace_rows(config: SimConfig):
@@ -816,5 +775,4 @@ def write_trace(config: SimConfig, path) -> SimStats:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "harvest_j", "energy_j", "transmitted", "success", "age"])
-        sums = _reduce(_traced_chunks(config, writer), config.horizon_slots)
-    return sums.stats()
+        return _reduce(_traced_chunks(config, writer), config.horizon_slots)[0]

@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from wpaoi.simulator import EventLog, SimStats, _cycle_sums, _exact_sum, _square_sum
+from wpaoi.simulator import EventLog, SimStats, _exact_sum, _reduce_log, _square_sum
 
 
 def _checked(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +44,7 @@ def summarize(log: EventLog) -> SimStats:
         If the log is structurally inconsistent.
     """
     fills, success = _checked(log)
-    return _cycle_sums(EventLog(fills, success, log.horizon_slots)).stats()
+    return _reduce_log(EventLog(fills, success, log.horizon_slots))[0]
 
 
 def trace_events(path, capacitor_j: float, horizon: int) -> EventLog:

@@ -86,6 +86,7 @@ def test_domain_error_exit_code(capsys):
         ["sweep-p", "--power-w", "3", "--p-values", "1,3", "--r-values", "0.05,nan"],
         ["simulate", "--power-w", "3", "--capacitor-j", "nan"],
         ["analytic", "--power-w", "3", "--capacitor-j", "3e-4", "--noise-dbm", "nan"],
+        ["analytic", "--power-w", "3", "--capacitor-j", "3e-4", "--distance-m", "1e-300"],
     ],
     ids=lambda argv: " ".join(argv),
 )

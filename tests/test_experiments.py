@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from wpaoi import (
+    NoSuccessError,
+    SimConfig,
     SweepRow,
     ValidationReport,
     average_aoi,
@@ -16,6 +18,8 @@ from wpaoi import (
     dbm_to_watts,
     derive,
     optimize_capacitor,
+    sample_events,
+    simulate,
     sweep_aoi_vs_B,
     sweep_minaoi_vs_P,
     validation_report,
@@ -386,3 +390,20 @@ def test_validation_report_without_successes(ref_point):
     assert not report.all_passed
     assert report.rows == ()
     assert "FAILED" in _format_validation_report(report)
+    # A run with no decoded update, and one with exactly one: the report
+    # carries the counters and the message of the error that simulate
+    # raises on the same run. The second run is cut at its second decoded
+    # update, which falls on the last slot and so is never attempted.
+    params = ref_point()
+    full = sample_events(SimConfig(params, 100_000, seed=55))
+    second_success_fill = int(full.fill_slots[np.flatnonzero(full.success)[1]])
+    runs = [SimConfig(params, 300, seed=1), SimConfig(params, second_success_fill, seed=55)]
+    for n_successes, config in enumerate(runs):
+        with pytest.raises(NoSuccessError) as err:
+            simulate(config)
+        assert err.value.n_successes == n_successes
+        report = validation_report(params, config.horizon_slots, config.seed)
+        assert (report.n_recharges, report.n_attempts, report.n_successes, report.sim_error) == (
+            err.value.n_recharges, err.value.n_attempts, err.value.n_successes, str(err.value)
+        )
+        assert report.rows == () and not report.all_passed

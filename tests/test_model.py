@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ def test_channel_rate_from_distance_rejects_nonpositive():
         channel_rate_from_distance(0.0, 2.2)
     with pytest.raises(ValueError):
         channel_rate_from_distance(10.0, -1.0)
+    # a power law that underflows to zero or is infinite names the distance
+    # and the exponent, not the channel rate it would have given
+    cases = [
+        (1e-300, 2.2, "underflows to zero"),
+        (0.5, math.inf, "underflows to zero"),
+        (math.inf, 2.2, "overflows"),
+        (2.0, math.inf, "overflows"),
+        (1e300, 1e300, "overflows"),
+    ]
+    for d_m, alpha, bound in cases:
+        message = f"{bound} at distance {d_m} and exponent {alpha}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            channel_rate_from_distance(d_m, alpha)
 
 
 def test_system_params_validation():

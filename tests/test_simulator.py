@@ -42,11 +42,11 @@ from wpaoi.simulator import (
     _Z975,
     _alias_draws,
     _alias_table,
-    _cycle_sums,
     _decode_cut,
     _event_chunks,
     _exact_sum,
     _power_sums,
+    _reduce_log,
     _renewal_fills,
     _square_sum,
     _table_size,
@@ -863,7 +863,7 @@ def test_summary_equals_statistics_of_cycle_arrays(ref_point):
     age_half = _Z975 * np.std(residuals, ddof=1) / math.sqrt(x.size) / np.mean(xf)
     assert stats.delta_ci_half == pytest.approx(age_half, rel=1e-9)
     halves = [_Z975 * np.std(v, ddof=1) / math.sqrt(v.size) for v in (tf, tf * tf, xf, xf * xf)]
-    assert _cycle_sums(log).moment_halves() == pytest.approx(halves, rel=1e-9)
+    assert _reduce_log(log)[1] == pytest.approx(halves, rel=1e-9)
 
 
 def _fourth_power_sum(total, n, top, rng):
@@ -1024,7 +1024,7 @@ def test_half_widths_stay_exact_when_cycles_barely_vary(ref_point):
     age_half = _Z975 * math.sqrt(residuals / len(x)) * len(x) / sum(x)
     halves = [mean_half(v) for v in (t, [a * a for a in t], x, [a * a for a in x])]
     assert summarize(log).delta_ci_half == pytest.approx(age_half, rel=1e-9)
-    assert _cycle_sums(log).moment_halves() == pytest.approx(halves, rel=1e-9)
+    assert _reduce_log(log)[1] == pytest.approx(halves, rel=1e-9)
 
 
 # beta 0.485 and pi 0.077: most 7-fill chunks hold no decoded update
