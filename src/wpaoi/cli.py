@@ -15,9 +15,9 @@ fixed CSV schema, with empty fields where a column does not apply; JSON
 carries every field. Floats are written with their shortest round-tripping
 decimal representation, so the output is byte-stable and re-parses exactly.
 
-Exit codes: 0 on success, 2 on a usage error or an output file (``--out``,
-``--trace``) that cannot be written, 3 on a domain error (invalid parameter
-values), 4 when a simulation decodes too few updates to measure.
+Exit codes: 0 on success, 2 on a usage error (as ``--trace`` and ``--out``
+naming one file) or an output file that cannot be written, 3 on a domain
+error (invalid parameter values), 4 when a run decodes too few updates.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
@@ -174,16 +175,14 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if None not in (args.trace, args.out) and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        print(f"error: --trace and --out name one file: {args.trace}", file=sys.stderr)
+        return 2
     params = _params_from_args(args)
     config = SimConfig(params, args.horizon, args.seed)
     # A point derive refuses is refused before any slot is drawn.
     d = derive(params)
-    if args.trace is None:
-        stats = simulate(config)
-    else:
-        # The statistics describe the realization in the trace file: the
-        # events come from the rows as they are written.
-        stats = write_trace(config, args.trace)
+    stats = simulate(config) if args.trace is None else write_trace(config, args.trace)
     payload = {
         "beta": d.beta,
         "pi": d.pi,
@@ -220,6 +219,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep_b(args) -> int:
     rows = sweep_aoi_vs_B(_params_from_args(args), args.b_values, args.horizon, args.seed)
+    for row in rows:
+        if row.sim_error is not None:
+            print(f"warning: capacitor_j {row.swept_value!r}: {row.sim_error}", file=sys.stderr)
     # A row's __dict__ holds its fields in order, every one a scalar, so it
     # equals dataclasses.asdict, which deep-copies each value.
     records = [vars(row) for row in rows]
@@ -290,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1_000_000, help="slots to simulate (default 1e6)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--trace", default=None,
-                   help="run the slot dynamics slot by slot, write their per-slot CSV trace "
-                   "here and take the statistics from it (slow; use short horizons)")
+                   help="also write the run's per-slot CSV trace here (a few us per slot)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optimize", help="find the age-minimizing capacitor size")

@@ -81,8 +81,8 @@ def sweep_aoi_vs_B(
     :func:`~wpaoi.model.derive` refuses raises its ValueError. With a
     ``horizon`` every size is also simulated over that many slots, with the
     same ``seed`` at every size; ``horizon=None`` simulates nothing. A size
-    whose simulation produces no decoded update is flagged in the row rather
-    than aborting the sweep.
+    whose simulation decodes fewer than two updates keeps the reason in its
+    row's ``sim_error`` rather than aborting the sweep.
     """
     values = _sweep_values(b_values)
     sizes = np.array(values)

@@ -8,38 +8,26 @@ decoded when the information channel draw clears the spectral-efficiency
 threshold; a decoded update resets the receiver-side age to one, otherwise
 the age keeps growing.
 
-Two execution paths sample this system:
+One engine samples this system, the renewal engine ``_event_chunks``. It
+draws one recharge time per update and yields the fills and decode outcomes
+a chunk at a time: :func:`simulate` reduces the chunks as they come,
+:func:`sample_events` gathers them into an event log, and :func:`write_trace`
+reduces them likewise while it writes the slot rows between them, so a
+traced run is the run :func:`simulate` draws. The harvest is a Poisson
+process in energy and the overshoot past B is discarded, so every recharge
+time is exactly ``1 + Poisson(beta)``. Its cost grows with the number of
+fills, not slots: a long enough run at beta of at least 1 draws them from a
+Walker alias table of the recharge law, one uniform and mostly one cell
+lookup per fill, and any other run with numpy's Poisson sampler. The fill
+slots of a chunk of draws are one running sum, cut at the horizon by one
+binary search on the table path.
 
-* The renewal engine, ``_event_chunks``, draws one recharge time per
-  update and yields the fills and decode outcomes a chunk at a time:
-  :func:`simulate` reduces the chunks as they come, and
-  :func:`sample_events` gathers them into an event log. The harvest is a
-  Poisson process in energy and the overshoot past B is discarded, so
-  every recharge time is exactly ``1 + Poisson(beta)``. Its cost grows with
-  the number of fills, not slots: a long enough run at beta of at least 1
-  draws them from a Walker alias table of the recharge law, one uniform and
-  mostly one cell lookup per fill, and any other run with numpy's Poisson
-  sampler. The table of the last beta and the decode cut of the last
-  operating point are kept, so runs at one operating point find them once.
-  The fill slots of a chunk of draws are one running sum, cut at the
-  horizon by one binary search on the table path.
-* :func:`write_trace` runs the slot dynamics themselves, one plain loop
-  iteration per slot (``_trace_rows``), and writes the harvested energy,
-  capacitor level, transmit flag, decode outcome and age of every slot as a
-  CSV trace. It backs the ``--trace`` path.
-
-The tests hold a vectorized copy of the slot dynamics,
-``tests/reference_slots.py``, which finds fills by binary search in
-cumulative harvest sums over 2^23 slots at a time. It consumes the two random
-substreams as ``_trace_rows`` does (one draw from the harvest stream per
-slot, one draw from the decode stream per transmit slot), so the two agree
-bit for bit for a given seed. The renewal engine reads the harvest stream
-differently, so it describes another realization of the same process; the
-tests tie it to the slot dynamics by the distributions of recharge and
-interarrival times. The renewal engine decodes an attempt when its draw
-from the decode stream reaches a cut found once per operating point; that
-gives, bit for bit, the outcomes of computing the channel gain of every
-attempt, as ``_trace_rows`` does.
+The tests hold the slot dynamics themselves, a per-slot loop and its
+vectorized copy in ``tests/reference_slots.py``, and tie the renewal engine
+to them by the laws of the recharge and interarrival times. The engine
+decodes an attempt when its draw from the decode stream reaches a cut found
+once per operating point: bit for bit, the outcome of computing the
+attempt's channel gain.
 
 The statistics come from one streaming reduction over one measurement
 window, from the first to the last decoded update. The average age is a
@@ -54,7 +42,7 @@ fourth powers stays below 2^53, so do all float partial sums, and the sums
 are taken in int64, bit for bit what the float sums give: from one
 histogram when the times are few distinct small integers, and entry by
 entry otherwise. :func:`simulate` feeds the reduction straight from the
-sampler and :func:`write_trace` from the rows as it writes them, so the
+sampler, and :func:`write_trace` likewise between blocks of rows, so the
 memory of either stays bounded however long the horizon.
 """
 
@@ -82,7 +70,8 @@ __all__ = [
     "write_trace",
 ]
 
-# Most fills the renewal engine draws, and the reduction reads, at a time.
+# Most fills the renewal engine draws, and the reduction reads, at a time,
+# and most rows a trace draws and writes at a time.
 _CHUNK = 1 << 16
 # Most entries of an alias table: a chunk of table draws adds at most 2^32
 # slots to a fill below 2^62, so its running sum cannot wrap int64.
@@ -426,11 +415,11 @@ def sample_events(config: SimConfig) -> EventLog:
     not the results.
 
     Decode outcomes are drawn from a second substream, one draw per attempt,
-    in fill order, as :func:`write_trace` reads them. A beta above numpy's
-    Poisson limit (~9.2e18) puts the first fill beyond any horizon, so the
-    run has no fill. The log is written in place into arrays allocated at
-    the bound the chunks are sized by, 12 standard deviations past the
-    expected fills, and grown only by a run that outlasts it.
+    in fill order. A beta above numpy's Poisson limit (~9.2e18) puts the
+    first fill beyond any horizon, so the run has no fill. The log is
+    written in place into arrays allocated at the bound the chunks are sized
+    by, 12 standard deviations past the expected fills, and grown only by a
+    run that outlasts it.
     :func:`simulate` reduces the same chunks as they come, without a log.
     """
     beta, _ = beta_pi(config.params, config.params.capacitor_j)
@@ -696,75 +685,37 @@ def simulate(config: SimConfig) -> SimStats:
     return _reduce(_event_chunks(config), config.horizon_slots)[0]
 
 
-def _trace_rows(config: SimConfig):
-    """Yield one (slot, harvest_j, energy_j, transmitted, success, age) per slot.
-
-    The slot dynamics themselves, one plain loop iteration per slot: one
-    draw from the harvest substream per slot and one from the decode
-    substream per transmit slot. A row whose energy reaches B is a fill,
-    and the next slot transmits. The age starts at 1 before the first slot
-    and resets to 1 on the slot of each decoded update.
-    """
-    p = config.params
-    h_rng, g_rng = _spawn_streams(config.seed)
-    scale = p.efficiency * p.power_w / p.channel_rate
-    cap = p.capacitor_j
-    threshold = _threshold(p)
-    level = 0.0
-    age = 1
-    full = False
-    for slot in range(1, config.horizon_slots + 1):
-        harvested = -math.log1p(-h_rng.random()) * scale
-        transmitted = full
-        if full:
-            level = 0.0
-        level = min(level + harvested, cap)
-        success = False
-        if transmitted:
-            gain = -math.log1p(-g_rng.random()) / p.channel_rate
-            success = gain >= threshold
-        age = 1 if success else age + 1
-        full = level == cap
-        yield slot, harvested, level, transmitted, success, age
-
-
-def _traced_chunks(config: SimConfig, writer):
-    """Write every row of :func:`_trace_rows` with ``writer``, and yield the
-    run's (fill slots, decode outcomes) as the rows come, in chunks of
-    ``_CHUNK`` attempts and then the rest. None is empty.
-
-    A row whose energy reaches B is a fill, and a transmit row carries the
-    outcome of the attempt after the last fill. A row's outcome is read
-    before its fill, so a chunk is cut right after an outcome, when every
-    fill in it has its attempt, even where recharges take one slot.
-    """
-    cap = config.params.capacitor_j
-    fills, outcomes = [], []
-
-    def chunk():
-        return np.array(fills, dtype=np.int64), np.array(outcomes, dtype=bool)
-
-    for slot, harvested, level, transmitted, success, age in _trace_rows(config):
-        writer.writerow([slot, repr(harvested), repr(level), int(transmitted), int(success), age])
-        if transmitted:
-            outcomes.append(success)
-            if len(outcomes) == _CHUNK:
-                yield chunk()
-                fills, outcomes = [], []
-        if level == cap:
-            fills.append(slot)
-    if fills:
-        yield chunk()
+def _count_at_least(rng, beta: float, m: int):
+    """A draw of ``Poisson(beta)`` conditioned on being at least m >= 1: by
+    rejection up to beta, at or below the median, and past it by inversion
+    over the weights of m + j relative to m, prod(beta/(m + i), i <= j) <
+    exp(-j^2/(2(m + j))), of which 12*sqrt(m) + 40 leave out below ~1e-21.
+    Past numpy's Poisson limit it is beta, a relative 1/sqrt(beta) from a draw."""
+    if beta > _POISSON_LAM_MAX:
+        return beta
+    while m <= beta:
+        if (n := int(rng.poisson(beta))) >= m:
+            return n
+    weights = np.cumprod(np.r_[1.0, beta / np.arange(m + 1, m + 12 * math.isqrt(m) + 40)])
+    np.cumsum(weights, out=weights)
+    return m + int(weights.searchsorted(rng.random() * weights[-1], "right"))
 
 
 def write_trace(config: SimConfig, path) -> SimStats:
-    """Write the per-slot trace as CSV and return the run's statistics.
+    """Write the per-slot CSV trace of the run :func:`simulate` draws, and
+    return its statistics, ``simulate(config)``.
 
-    The fills and decode outcomes of the rows feed the streaming reduction
-    as the rows are written, so a traced run walks the slot dynamics once
-    and holds at most a chunk of its events: only the file grows with the
-    horizon. The per-slot loop is slow, so this is meant for short
-    debugging horizons.
+    The rows draw the slot dynamics between the engine's fills exactly in
+    law, one uniform V per row from a third substream, at most ``_CHUNK``
+    rows at a time, so memory stays bounded however long the horizon. A
+    recharge of n + 1 slots holds n arrivals of the harvest's Poisson
+    process below B, n uniform order statistics on [0, B). One less the k-th
+    is C_k = C_(k-1)*V^(1/(n-k+1)), C_0 = 1: slot k harvests the spacing
+    B*C_(k-1)*(1 - V^(1/(n-k+1))) up to B*(1 - C_k) < B, both through expm1.
+    The fill slot reaches B with a fresh exponential overshoot, and the next
+    one transmits with the engine's decode outcome. The recharge open at the
+    horizon takes its n from :func:`_count_at_least`. The age starts at 1
+    before the first slot and resets to 1 on each decoded update.
 
     Raises
     ------
@@ -772,7 +723,54 @@ def write_trace(config: SimConfig, path) -> SimStats:
         If fewer than two updates are decoded. The trace file is written in
         full first.
     """
+    p = config.params
+    cap, horizon = p.capacitor_j, config.horizon_slots
+    scale = p.efficiency * p.power_w / p.channel_rate
+    beta, _ = beta_pi(p, cap)
+    rng = np.random.default_rng(np.random.SeedSequence(int(config.seed)).spawn(3)[2])
+    # the last fill written, the outcome of its attempt, the last decoded slot
+    fill, ok, decoded = 0, False, 0
+
+    def write(ends, counts, success):
+        # The rows up to ends[-1], of recharges ending at ends with counts arrivals.
+        nonlocal fill, ok, decoded
+        outcomes, starts, end, log_c = np.r_[ok, success], np.r_[fill, ends[:-1]], int(ends[-1]), 0.0
+        for a in range(fill, end, _CHUNK):
+            slot = np.arange(a + 1, min(a + _CHUNK, end) + 1)
+            i = ends.searchsorted(slot)
+            begin = starts[i]
+            left = counts[i] - (slot - begin) + 1  # n - k + 1, 0 on a fill
+            on_fill = left == 0
+            w = np.log1p(-rng.random(slot.size))
+            x = np.divide(w, left, out=np.zeros_like(w), where=~on_fill)
+            # log C_k, summed in order along each recharge's row of a table;
+            # the recharge open at the block's first slot goes on from log_c
+            row, col = i - i[0], slot - np.maximum(begin, a)
+            table = np.zeros((row[-1] + 1, col.max() + 1))
+            table[0, 0] = log_c if begin[0] < a else 0.0
+            table[row, col] = x
+            np.cumsum(table, axis=1, out=table)
+            room, log_c = cap * np.exp(table[row, col - 1]), table[row, col]
+            harvest = np.where(on_fill, room - w * scale, room * -np.expm1(x))
+            level = np.minimum(-cap * np.expm1(log_c), math.nextafter(cap, 0.0))
+            transmitted = ((slot == begin + 1) & (begin > 0)).view(np.int8)
+            decodes = transmitted & outcomes[i]
+            reset = np.maximum.accumulate(np.where(decodes, slot, decoded))
+            decoded, log_c = int(reset[-1]), log_c[-1]
+            columns = slot, harvest, np.where(on_fill, cap, level), transmitted, decodes, slot - reset + 1
+            writer.writerows(zip(*(v.tolist() for v in columns)))
+        # a last fill without an attempt lies at the horizon: no row follows
+        fill, ok = end, bool(outcomes[-1])
+
+    def chunks():
+        for fills, success in _event_chunks(config):
+            write(fills, _steps(fills, fill) - 1, success)
+            yield fills, success
+        if fill < horizon:
+            count = _count_at_least(rng, beta, horizon - fill)
+            write(np.array([horizon]), np.array([count]), np.zeros(0, dtype=bool))
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "harvest_j", "energy_j", "transmitted", "success", "age"])
-        return _reduce(_traced_chunks(config, writer), config.horizon_slots)[0]
+        return _reduce(chunks(), horizon)[0]

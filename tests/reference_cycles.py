@@ -7,12 +7,14 @@ against: one array each of the recharge times, the interarrival times and
 the attempts per decoded update. ``summarize`` feeds a given log, once its
 shape checks out, through the package's reduction, and ``trace_events``
 reads the log of a run back from the trace file that ``write_trace`` wrote.
+``interarrival_pmf`` gives the exact law those interarrival times follow.
 """
 
 import csv
 
 import numpy as np
 
+from wpaoi import recharge_pmf
 from wpaoi.simulator import EventLog, SimStats, _exact_sum, _reduce_log, _square_sum
 
 
@@ -117,3 +119,20 @@ def empirical_aoi(x_intervals) -> float:
     if x.min() < 1:
         raise ValueError("interarrival samples must be >= 1")
     return float(_area(x)) / float(_exact_sum(x))
+
+
+def interarrival_pmf(beta: float, pi: float, n_max: int) -> np.ndarray:
+    """P(X = n) for n = 1..n_max, X the slots from one decoded update to the
+    next.
+
+    X is the sum of M i.i.d. recharge times T, M ~ Geometric(pi) the
+    attempts per update: the first attempt decodes with probability pi, and
+    otherwise X starts over after it. So its law follows from the recharge
+    law by the renewal recursion (Panjer 1981, for compound laws)
+    f_X(n) = pi*f_T(n) + (1 - pi)*sum_{k<n} f_T(k)*f_X(n - k).
+    """
+    f_t = recharge_pmf(beta, np.arange(1, n_max + 1))
+    f_x = np.zeros(n_max)
+    for j in range(n_max):
+        f_x[j] = pi * f_t[j] + (1.0 - pi) * float(f_t[:j] @ f_x[:j][::-1])
+    return f_x

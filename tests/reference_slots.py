@@ -1,17 +1,20 @@
-"""Vectorized slot engine, the tests' reference for the slot dynamics.
+"""The slot dynamics themselves, the tests' reference for the renewal engine.
 
-The package has two engines: the renewal sampler behind ``simulate``, which
-draws one recharge time per update, and the per-slot loop ``_trace_rows``
-behind ``write_trace``. The tests need the literal slot dynamics over far
-more slots than the per-slot loop can run (about 1.7 us per slot), so this
-engine runs them a block at a time. It reads the two random substreams in
-the order ``_trace_rows`` does and returns the events of the rows it
-yields, bit for bit.
+The package samples one engine, the renewal sampler behind ``simulate`` and
+``write_trace``, which draws one recharge time per update. The tests hold
+the literal slot dynamics here, in two forms that read the two random
+substreams alike (one harvest draw per slot, one decode draw per attempt):
+``slot_rows``, a plain loop over the slots, and ``sample_slot_events``,
+which runs them a block at a time over far more slots than the loop can
+(about 1.7 us per slot) and returns the events of the loop's rows, bit for
+bit.
 """
+
+import math
 
 import numpy as np
 
-from wpaoi.simulator import EventLog, SimConfig, _decode_cut, _decodes, _spawn_streams
+from wpaoi.simulator import EventLog, SimConfig, _decode_cut, _decodes, _spawn_streams, _threshold
 
 # Most slots one cumulative harvest sum covers.
 _BLOCK = 1 << 23
@@ -27,9 +30,9 @@ _DENSE_BETA = 24.0
 def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
     """Run the slot dynamics and return the fill slots and decode outcomes.
 
-    It draws one harvest per slot, exactly as ``_trace_rows`` does, and
-    returns the events of the trace ``write_trace`` writes, bit for bit. It backs the renewal
-    claim of ``sample_events`` in the tests.
+    It draws one harvest per slot, exactly as :func:`slot_rows` does, and
+    returns the events of its rows, bit for bit. It backs the renewal claim
+    of ``sample_events`` in the tests.
 
     The capacitor level after slot k is ``min(level + eta*P*h_k, B)`` with the
     level forced to zero at the start of a transmit slot, so between fills the
@@ -92,3 +95,47 @@ def sample_slot_events(config: SimConfig, block: int = _BLOCK) -> EventLog:
 
     fill_slots = np.asarray(fills, dtype=np.int64)
     return EventLog(fill_slots, _decodes(_decode_cut(p), g_rng, fill_slots, horizon), horizon)
+
+
+def slot_rows(config: SimConfig):
+    """Yield one (slot, harvest_j, energy_j, transmitted, success, age) per slot.
+
+    The slot dynamics themselves, one plain loop iteration per slot: one
+    draw from the harvest substream per slot and one from the decode
+    substream per transmit slot. A row whose energy reaches B is a fill,
+    and the next slot transmits. The age starts at 1 before the first slot
+    and resets to 1 on the slot of each decoded update.
+    """
+    p = config.params
+    h_rng, g_rng = _spawn_streams(config.seed)
+    scale = p.efficiency * p.power_w / p.channel_rate
+    cap = p.capacitor_j
+    threshold = _threshold(p)
+    level = 0.0
+    age = 1
+    full = False
+    for slot in range(1, config.horizon_slots + 1):
+        harvested = -math.log1p(-h_rng.random()) * scale
+        transmitted = full
+        if full:
+            level = 0.0
+        level = min(level + harvested, cap)
+        success = False
+        if transmitted:
+            gain = -math.log1p(-g_rng.random()) / p.channel_rate
+            success = gain >= threshold
+        age = 1 if success else age + 1
+        full = level == cap
+        yield slot, harvested, level, transmitted, success, age
+
+
+def slot_row_events(config: SimConfig) -> EventLog:
+    """The fill slots and decode outcomes of the rows of :func:`slot_rows`."""
+    cap = config.params.capacitor_j
+    fills, success = [], []
+    for slot, _, level, transmitted, decoded, _ in slot_rows(config):
+        if transmitted:
+            success.append(decoded)
+        if level == cap:
+            fills.append(slot)
+    return EventLog(np.array(fills, dtype=np.int64), np.array(success, dtype=bool), config.horizon_slots)

@@ -27,11 +27,11 @@ from wpaoi import (
     recharge_pmf,
     sample_events,
     simulate,
+    write_trace,
 )
-from wpaoi.simulator import _trace_rows
 
 from conftest import REF_LAMBDA, truncation_k_max
-from reference_cycles import empirical_aoi, extract_cycles, summarize
+from reference_cycles import empirical_aoi, extract_cycles
 from reference_slots import sample_slot_events
 
 
@@ -238,13 +238,14 @@ def test_criterion_6_qualitative_behavior(capsys):
         assert rels[2] < 1e-4, f"floor rel err={rels[2]:.3e}"
 
 
-def test_criterion_7_windowed_estimate_is_exact(capsys):
+def test_criterion_7_windowed_estimate_is_exact(capsys, tmp_path):
     """The windowed simulator estimate equals the per-slot age average exactly.
 
-    A slot-by-slot trace and the slot engine, reduced by ``summarize``, are
-    run on the same seed. Over the window from the first to the last delivered update,
-    the integer age total must satisfy the triangular per-cycle identity and
-    the reported estimate must reproduce it with no floating-point slack.
+    ``write_trace`` writes the age of every slot of the run ``simulate``
+    draws, and returns that run's statistics. Over the window from the first
+    to the last delivered update, the integer age total must satisfy the
+    triangular per-cycle identity and the reported estimate must reproduce
+    it with no floating-point slack.
     """
     cases = [
         (_ref_params(3.0, 3e-4), 200_000, 21),
@@ -264,20 +265,20 @@ def test_criterion_7_windowed_estimate_is_exact(capsys):
     with criterion(capsys, 7, "windowed estimate equals per-slot average exactly"):
         for params, horizon, seed in cases:
             config = SimConfig(params=params, horizon_slots=horizon, seed=seed)
-            ages = np.empty(horizon + 1, dtype=np.int64)
-            success_slots = []
-            for slot, _, _, _, success, age in _trace_rows(config):
-                ages[slot] = age
-                if success:
-                    success_slots.append(slot)
-            assert len(success_slots) >= 2
-            first, last = success_slots[0], success_slots[-1]
-            window_sum = int(ages[first:last].sum())
-            x = np.diff(np.asarray(success_slots, dtype=np.int64))
+            path = tmp_path / "trace.csv"
+            stats = write_trace(config, path)
+            assert stats == simulate(config)
+            success, ages = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=(4, 5), dtype=np.int64, unpack=True
+            )
+            # row index s is slot s + 1
+            success_slots = np.flatnonzero(success) + 1
+            assert success_slots.size >= 2
+            first, last = int(success_slots[0]), int(success_slots[-1])
+            window_sum = int(ages[first - 1 : last - 1].sum())
+            x = np.diff(success_slots)
             assert int((x * (x + 1) // 2).sum()) == window_sum
             assert int(x.sum()) == last - first
-
-            stats = summarize(sample_slot_events(config))
             assert stats.n_slots_measured == last - first
             assert stats.delta_hat == window_sum / (last - first)
             assert stats.delta_hat == empirical_aoi(x)

@@ -204,8 +204,38 @@ def test_simulate_trace_statistics_describe_the_trace(tmp_path, capsys):
     assert payload["delta_hat"] == sum(ages) / len(ages)
 
 
+@pytest.mark.parametrize("out", ["trace.csv", "./sub/../trace.csv"])
+def test_trace_and_out_naming_one_file_is_usage_error(tmp_path, capsys, monkeypatch, out):
+    # refused before any run seeds its substreams, and nothing is written
+    calls = []
+    monkeypatch.setattr(simulator, "_spawn_streams", calls.append)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", *_TOY, "--horizon", "300", "--trace", "trace.csv", "--out", out]
+    assert run_cli(argv) == 2
+    assert calls == [] and not (tmp_path / "trace.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace and --out name one file: trace.csv\n"
+
+
+def test_sweep_b_warns_of_each_failed_size(capsys):
+    # 300 slots at 3 W decode fewer than two updates at both sizes
+    argv = ["sweep-b", "--power-w", "3", "--b-values", "1e-4,3e-4", "--horizon", "300"]
+    assert run_cli([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert all(row["sim_error"] for row in rows)
+    warnings = [f"warning: capacitor_j {row['swept_value']!r}: {row['sim_error']}" for row in rows]
+    assert captured.err.splitlines() == warnings
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == warnings
+    assert [line.split(",")[4:6] for line in captured.out.splitlines()[1:]] == [["", ""]] * 2
+
+
 def test_simulate_trace_runs_the_slot_dynamics_once(tmp_path, capsys, monkeypatch):
-    # Every walk of the slot dynamics seeds its own two substreams.
+    # A traced run is one run of the engine: it seeds the engine's substreams once.
     calls = []
     spawn = simulator._spawn_streams
 

@@ -31,3 +31,11 @@ def test_cli_output_matches_fixture(name, tmp_path):
         assert got == expected, _first_difference(f"{name}.{stream}", expected, got)
     assert code == want["code"]
     assert trace == want["trace"]
+
+
+@pytest.mark.parametrize("name", [name for name in _MANIFEST if "--trace" in _MANIFEST[name]["argv"]])
+def test_trace_is_the_run_simulate_prints(name, tmp_path):
+    # One engine: the argv without --trace prints the same run.
+    argv = _MANIFEST[name]["argv"]
+    i = argv.index("--trace")
+    assert run(argv[:i] + argv[i + 2 :], tmp_path)[:3] == run(argv, tmp_path)[:3]

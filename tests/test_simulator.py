@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import re
 import statistics
 import tracemalloc
 import types
@@ -9,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import REF_LAMBDA
-from reference_cycles import empirical_aoi, extract_cycles, summarize, trace_events
-from reference_slots import _DENSE_BETA, sample_slot_events
-from scipy.stats import chi2
+from reference_cycles import empirical_aoi, extract_cycles, interarrival_pmf, summarize, trace_events
+from reference_slots import _DENSE_BETA, sample_slot_events, slot_row_events, slot_rows
+from scipy.stats import chi2, kstest, poisson
 
 import wpaoi.simulator as simulator
 from wpaoi import (
@@ -42,6 +43,7 @@ from wpaoi.simulator import (
     _Z975,
     _alias_draws,
     _alias_table,
+    _count_at_least,
     _decode_cut,
     _event_chunks,
     _exact_sum,
@@ -50,7 +52,6 @@ from wpaoi.simulator import (
     _renewal_fills,
     _square_sum,
     _table_size,
-    _trace_rows,
 )
 
 # Capacitor size that puts the reference point exactly at the fill-search
@@ -244,23 +245,12 @@ def test_batch_ci_rejects_short_input():
         batch_ci([1.0, 2.0], n_batches=1)
 
 
-# --- the slot engine agrees with the per-slot trace -------------------------
+# --- the vectorized slot engine agrees with the per-slot loop ----------------
 
-def _assert_trace_matches(config, tmp_path):
-    """The trace of ``write_trace`` holds the events of the vectorized slot
-    engine, and its statistics are theirs, or it raises as they do."""
-    path = tmp_path / "trace.csv"
+def _assert_slot_loop_matches(config):
+    """The vectorized slot engine gives the events of the per-slot loop."""
     log = sample_slot_events(config)
-    try:
-        expected = summarize(log)
-    except NoSuccessError:
-        with pytest.raises(NoSuccessError):
-            write_trace(config, path)
-    else:
-        assert write_trace(config, path) == expected
-    traced = trace_events(path, config.params.capacitor_j, config.horizon_slots)
-    assert np.array_equal(traced.fill_slots, log.fill_slots)
-    assert np.array_equal(traced.success, log.success)
+    _assert_same_events(slot_row_events(config), log)
     return log
 
 
@@ -277,21 +267,21 @@ def _assert_trace_matches(config, tmp_path):
         pytest.param(math.nextafter(_THRESHOLD_CAP, math.inf), id="sparse_above_threshold"),
     ],
 )
-def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j, tmp_path):
+def test_vectorized_path_matches_per_slot_path(ref_point, capacitor_j):
     config = SimConfig(ref_point(capacitor_j=capacitor_j), 50_000, seed=2024)
-    log = _assert_trace_matches(config, tmp_path)
+    log = _assert_slot_loop_matches(config)
     if capacitor_j == 2e-19:
         assert log.fill_slots.size == 50_000 and not log.success.any()
 
 
-def test_vectorized_path_matches_per_slot_path_toy(toy_point, tmp_path):
-    log = _assert_trace_matches(SimConfig(toy_point, 20_000, seed=5), tmp_path)
+def test_vectorized_path_matches_per_slot_path_toy(toy_point):
+    log = _assert_slot_loop_matches(SimConfig(toy_point, 20_000, seed=5))
     assert bool(np.all(log.success))
 
 
-def test_vectorized_path_matches_per_slot_path_dense(ref_point, tmp_path):
+def test_vectorized_path_matches_per_slot_path_dense(ref_point):
     # beta 1.456, so the dense fill search runs
-    _assert_trace_matches(SimConfig(ref_point(power_w=300.0), 50_000, seed=2024), tmp_path)
+    _assert_slot_loop_matches(SimConfig(ref_point(power_w=300.0), 50_000, seed=2024))
 
 
 # --- decode cut ---------------------------------------------------------------
@@ -446,6 +436,45 @@ def test_renewal_engine_matches_slot_engine_in_distribution(ref_point):
         tv, p_value = _two_sample(a, b)
         assert tv < 0.01, f"{name}: tv={tv:.5f}"
         assert p_value > 1e-3, f"{name}: chi-square p={p_value:.2e}"
+
+
+def _chi_square_p(sample, pmf) -> float:
+    """One-sample chi-square p-value of positive integers against ``pmf``
+    over 1..pmf.size, with the rest of the mass past it; the values join
+    from the left into bins expected at least 5 times, and a short last bin
+    joins the one before."""
+    counts = np.bincount(sample, minlength=pmf.size + 1)[1:]
+    observed = np.r_[counts[: pmf.size], counts[pmf.size :].sum()]
+    expected = sample.size * np.r_[pmf, max(1.0 - pmf.sum(), 0.0)]
+    bins, o, e = [], 0, 0.0
+    for oi, ei in zip(observed.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= 5.0:
+            bins.append([o, e])
+            o, e = 0, 0.0
+    bins[-1][0] += o
+    bins[-1][1] += e
+    o, e = np.array(bins).T
+    return float(chi2.sf(float(((o - e) ** 2 / e).sum()), o.size - 1))
+
+
+# The interarrival times X and the attempts per update M of both engines
+# against their exact laws: X by the renewal recursion over the recharge law,
+# M ~ Geometric(pi). Eight p-values in all, at a family-wise 1e-4. At beta
+# 1.456 a sampler drawing T as Poisson(beta) + 2 fails the X test.
+@pytest.mark.parametrize("power_w, horizon", [(300.0, 1_000_000), (3.0, 10_000_000)],
+                         ids=["beta_1.456", "beta_145.6"])
+def test_interarrival_and_attempt_laws_are_exact(ref_point, power_w, horizon):
+    params = ref_point(power_w=power_w)
+    d = derive(params)
+    n_max = int(30.0 * (1.0 + d.beta) / d.pi)
+    f_x = interarrival_pmf(d.beta, d.pi, n_max)
+    f_m = d.pi * (1.0 - d.pi) ** np.arange(200)
+    for engine, seed in ((sample_events, 1), (sample_slot_events, 2)):
+        _, x, m = extract_cycles(engine(SimConfig(params, horizon, seed)))
+        for name, sample, pmf in (("X", x, f_x), ("M", m, f_m)):
+            p_value = _chi_square_p(sample, pmf)
+            assert p_value > 1e-4 / 8, f"{engine.__name__} {name}: chi-square p={p_value:.2e}"
 
 
 # --- recharge-time sampler ------------------------------------------------------
@@ -1132,28 +1161,96 @@ def test_simulate_is_deterministic(ref_point):
 
 # --- capacitor and age dynamics ---------------------------------------------
 
-def test_trace_energy_and_age_dynamics(ref_point):
-    params = ref_point(capacitor_j=2e-4)
-    cap = params.capacitor_j
-    prev_full = False
-    for _slot, harvest, level, transmitted, success, age in _trace_rows(
-        SimConfig(params, 20_000, seed=8)
-    ):
-        assert harvest >= 0.0
-        assert 0.0 <= level <= cap
-        assert transmitted == prev_full
-        if success:
-            assert transmitted
-            assert age == 1
-        else:
-            assert age >= 2
-        prev_full = level == cap
+def _assert_trace_is_the_run(config, path):
+    """``write_trace`` returns what ``simulate`` does, or raises as it does,
+    and its rows are the run's: the engine's fills are the rows whose level
+    is B, every other level lies in [0, B), the slot after each fill
+    transmits with the engine's decode outcome, and the age follows its
+    rule. Returns the harvests in units of their mean, eta*P/lambda."""
+    p = config.params
+    try:
+        expected = simulate(config)
+    except NoSuccessError as exc:
+        with pytest.raises(NoSuccessError, match=re.escape(str(exc))):
+            write_trace(config, path)
+    else:
+        assert write_trace(config, path) == expected
+    log = sample_events(config)
+    slot, harvest, energy, transmitted, success, age = np.loadtxt(
+        path, delimiter=",", skiprows=1, ndmin=2, unpack=True
+    )
+    assert np.array_equal(slot, np.arange(1, config.horizon_slots + 1))
+    fill = energy == p.capacitor_j
+    assert np.array_equal(np.flatnonzero(fill) + 1, log.fill_slots)
+    assert (energy >= 0.0).all() and (energy[~fill] < p.capacitor_j).all()
+    # row index f is slot f + 1
+    assert np.array_equal(np.flatnonzero(transmitted), log.fill_slots[: log.success.size])
+    assert np.array_equal(success[transmitted == 1] == 1, log.success)
+    assert not success[transmitted == 0].any()
+    # 1 before the first slot, 1 on a decoded update, one more otherwise
+    assert np.array_equal(age, np.where(success == 1, 1, np.r_[1, age[:-1]] + 1))
+    assert (harvest >= 0.0).all()
+    return harvest / (p.efficiency * p.power_w / p.channel_rate)
+
+
+def test_trace_energy_and_age_dynamics(ref_point, tmp_path):
+    config = SimConfig(ref_point(capacitor_j=2e-4), 20_000, seed=8)
+    _assert_trace_is_the_run(config, tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize(
+    "capacitor_j, horizon",
+    [
+        # too few decoded updates: the same NoSuccessError, the file in full
+        (3e-4, 300),
+        # beta ~1e-13: every slot fills, and nothing decodes
+        (2e-19, 5_000),
+        # no fill: the open recharge takes beta as its count
+        pytest.param(
+            2.0 * _POISSON_LAM_MAX * (0.5 * 3.0 / REF_LAMBDA), 1_000, id="beta_past_poisson_limit"
+        ),
+    ],
+)
+def test_write_trace_is_the_run_simulate_draws(ref_point, capacitor_j, horizon, tmp_path):
+    for seed in (1, 7):
+        config = SimConfig(ref_point(capacitor_j=capacitor_j), horizon, seed)
+        _assert_trace_is_the_run(config, tmp_path / "t.csv")
+
+
+# The harvest of every slot is exponential with mean eta*P/lambda, the fill
+# slots' with their overshoot past B, so the pooled rows of a few runs must
+# pass a KS test. Dropping the overshoot fails it at beta 0.0146, where most
+# slots fill, and levels spaced evenly within a recharge fail it at 145.6.
+@pytest.mark.parametrize("power_w", [3e4, 300.0, 3.0], ids=["beta_0.0146", "beta_1.456", "beta_145.6"])
+def test_trace_harvests_are_exponential(ref_point, power_w, tmp_path):
+    params = ref_point(power_w=power_w)
+    harvests = [
+        _assert_trace_is_the_run(SimConfig(params, 20_000, seed), tmp_path / "t.csv")
+        for seed in (1, 2)
+    ]
+    p_value = kstest(np.concatenate(harvests), "expon").pvalue
+    assert p_value >= 1e-3, f"KS p={p_value:.2e}"
+
+
+@pytest.mark.parametrize("beta, m", [(0.0146, 1), (5.0, 3), (5.0, 5), (5.0, 9), (145.6, 160)])
+def test_count_at_least_follows_the_conditioned_poisson_law(beta, m):
+    rng = np.random.default_rng(3)
+    n = np.array([_count_at_least(rng, beta, m) for _ in range(5_000)])
+    assert n.min() >= m
+    k = np.arange(m, m + 60)
+    p_value = _chi_square_p(n - m + 1, poisson.pmf(k, beta) / poisson.sf(m - 1, beta))
+    assert p_value > 1e-4, f"chi-square p={p_value:.2e}"
+
+
+def test_count_at_least_is_beta_past_the_poisson_limit():
+    beta = 2.0 * _POISSON_LAM_MAX
+    assert _count_at_least(np.random.default_rng(0), beta, 10) == beta
 
 
 def test_windowed_age_equals_cycle_decomposition(ref_point):
     config = SimConfig(ref_point(), 50_000, seed=13)
     stats = summarize(sample_slot_events(config))
-    rows = list(_trace_rows(config))
+    rows = list(slot_rows(config))
     success_slots = [slot for slot, _h, _e, _tx, success, _a in rows if success]
     first, last = success_slots[0], success_slots[-1]
     ages = [age for slot, _h, _e, _tx, _s, age in rows if first <= slot < last]
@@ -1254,31 +1351,30 @@ def test_write_trace_round_trips(tmp_path, toy_point):
     config = SimConfig(toy_point, 200, seed=1)
     path = tmp_path / "trace.csv"
     write_trace(config, path)
-    lines = path.read_text().strip().split("\n")
+    lines = path.read_text().splitlines()
     assert lines[0] == "slot,harvest_j,energy_j,transmitted,success,age"
     assert len(lines) == 201
-    rows = list(_trace_rows(config))
-    for line, row in zip(lines[1:], rows):
-        cells = line.split(",")
-        assert int(cells[0]) == row[0]
-        assert float(cells[1]) == row[1]
-        assert float(cells[2]) == row[2]
-        assert int(cells[3]) == int(row[3])
-        assert int(cells[4]) == int(row[4])
-        assert int(cells[5]) == row[5]
+    for k, line in enumerate(lines[1:], 1):
+        slot, harvest, energy, transmitted, success, age = line.split(",")
+        assert slot == str(k) and int(age) >= 1
+        # floats as their repr, which reads back exactly; flags as 0 or 1
+        assert repr(float(harvest)) == harvest and repr(float(energy)) == energy
+        assert transmitted in ("0", "1") and success in ("0", "1")
 
 
 @pytest.mark.parametrize("power_w", [3e4, 300.0])
 def test_write_trace_does_not_depend_on_chunking(ref_point, power_w, tmp_path):
     # At 3e4 W (beta 0.0146) most recharges take one slot, so most rows hold
     # both a transmit and a fill, at chunk edges too. A shorter horizon
-    # keeps a prefix of the same rows, so ending it on a fill leaves that
-    # last fill without a transmission attempt.
+    # keeps a prefix of the same fills, so ending it on a fill leaves that
+    # last fill without a transmission attempt. The chunks also cut the
+    # blocks of rows, and the file stays the same byte for byte.
     params = ref_point(power_w=power_w)
-    horizon = int(sample_slot_events(SimConfig(params, 3_000, seed=9)).fill_slots[-3])
+    horizon = int(sample_events(SimConfig(params, 3_000, seed=9)).fill_slots[-3])
     config = SimConfig(params, horizon, seed=9)
     path = tmp_path / "trace.csv"
     expected = write_trace(config, path)
+    data = path.read_bytes()
     log = trace_events(path, params.capacitor_j, horizon)
     assert log.fill_slots[-1] == horizon
     assert log.success.size == log.fill_slots.size - 1
@@ -1286,7 +1382,7 @@ def test_write_trace_does_not_depend_on_chunking(ref_point, power_w, tmp_path):
     for n in (1, 2, 7):
         with _chunks_of(n):
             assert write_trace(config, path) == expected
-            assert summarize(trace_events(path, params.capacitor_j, horizon)) == expected
+            assert path.read_bytes() == data
 
 
 def test_write_trace_memory_stays_bounded(ref_point, tmp_path):
