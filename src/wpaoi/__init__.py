@@ -7,80 +7,16 @@ it against Monte Carlo simulation. It also sizes the capacitor to minimize
 that age.
 """
 
-from .analytics import (
-    AnalyticReport,
-    analytic_report,
-    aoi_limit_fixed_B,
-    aoi_limit_ratio,
-    average_aoi,
-    interarrival_moments,
-    mean_peak_area,
-    recharge_moments,
-    recharge_pmf,
-)
-from .experiments import (
-    SweepRow,
-    ValidationReport,
-    ValidationRow,
-    sweep_aoi_vs_B,
-    sweep_minaoi_vs_P,
-    validation_report,
-)
-from .model import (
-    DerivedParams,
-    SystemParams,
-    beta_pi,
-    build_params,
-    channel_rate_from_distance,
-    dbm_to_watts,
-    derive,
-)
-from .optimizer import OptResult, optimize_capacitor, optimize_capacitors
-from .simulator import (
-    EventLog,
-    NoSuccessError,
-    SimConfig,
-    SimStats,
-    batch_ci,
-    sample_events,
-    simulate,
-    write_trace,
-)
+from . import analytics, experiments, model, optimizer, simulator
+from .analytics import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .model import *  # noqa: F403
+from .optimizer import *  # noqa: F403
+from .simulator import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticReport",
-    "DerivedParams",
-    "EventLog",
-    "NoSuccessError",
-    "OptResult",
-    "SimConfig",
-    "SimStats",
-    "SweepRow",
-    "SystemParams",
-    "ValidationReport",
-    "ValidationRow",
-    "analytic_report",
-    "aoi_limit_fixed_B",
-    "aoi_limit_ratio",
-    "average_aoi",
-    "batch_ci",
-    "beta_pi",
-    "build_params",
-    "channel_rate_from_distance",
-    "dbm_to_watts",
-    "derive",
-    "interarrival_moments",
-    "mean_peak_area",
-    "optimize_capacitor",
-    "optimize_capacitors",
-    "recharge_moments",
-    "recharge_pmf",
-    "sample_events",
-    "simulate",
-    "sweep_aoi_vs_B",
-    "sweep_minaoi_vs_P",
-    "validation_report",
-    "write_trace",
-]
+# The public API is the layers' own; the CLI is not imported.
+__all__ = sorted(
+    analytics.__all__ + experiments.__all__ + model.__all__ + optimizer.__all__ + simulator.__all__
+)

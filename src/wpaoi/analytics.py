@@ -12,8 +12,11 @@ From these everything else follows in closed form: the recharge-time PMF and
 moments, the interarrival moments, the mean area under the age staircase per
 update, the average age of information, and its two asymptotic limits.
 
-Functions accept scalars and return floats; the moment and age functions also
-broadcast over numpy arrays, which the capacitor search relies on.
+Functions accept scalars and return floats. They also take numpy arrays,
+``recharge_pmf`` over k and the others broadcasting over every argument,
+and check their domain on every entry. Of the private kernels, ``_moments``
+and ``_age`` also run on the Python floats of the optimizer's golden steps;
+the others take arrays only.
 """
 
 from __future__ import annotations
@@ -162,34 +165,27 @@ def _moments(beta):
 
 
 def _x_moments(e_t, e_t2, p):
-    """E[X] and E[X^2] from the recharge moments, on floats or arrays,
-    unchecked; the square of a float p must not underflow to zero.
+    """E[X] and E[X^2] from the recharge moments, broadcasting, unchecked;
+    p is an array (0-d at one point), so a zero p*p divides to inf.
 
     The second term of E[X^2] is left out where p is one: it is exactly
     zero there wherever it is finite, and 2*E[T]^2 may overflow, which
     would make it inf * 0."""
     q = 1.0 - p
-    if isinstance(p, float):
-        spread = 2.0 * e_t * e_t * q if q else 0.0
-    else:
-        spread = np.zeros(np.broadcast(e_t, q).shape)
-        np.multiply(2.0 * e_t, e_t, out=spread, where=q != 0.0)
-        spread *= q
+    spread = np.zeros(np.broadcast(e_t, q).shape)
+    np.multiply(2.0 * e_t, e_t, out=spread, where=q != 0.0)
+    spread *= q
     return e_t / p, e_t2 / p + spread / (p * p)
 
 
 def _x2_overflows(beta, pi):
-    """Where E[X^2] at (beta, pi) overflows a float, on floats or arrays.
+    """Where E[X^2] at (beta, pi) overflows a float, elementwise.
 
     E[X^2] grows as 2*E[T]^2/pi^2 when pi is small, so it overflows at pi
     = 0 and where a subnormal pi makes 1/pi^2 overflow. There no
     interarrival moment is a float, and :func:`~wpaoi.model.derive`
     refuses the point.
     """
-    if isinstance(pi, float):
-        # Python floats overflow to inf without a warning, and a pi whose
-        # square underflows to zero overflows E[X^2].
-        return pi * pi == 0.0 or _x_moments(*_moments(float(beta)), float(pi))[1] == math.inf
     with np.errstate(all="ignore"):
         _, e_x2 = _x_moments(*_moments(np.asarray(beta, dtype=float)), np.asarray(pi, dtype=float))
     return e_x2 == math.inf
@@ -244,17 +240,21 @@ def interarrival_moments(beta, pi):
     return e_x, e_x2
 
 
-def mean_peak_area(e_x: float, e_x2: float) -> float:
+def mean_peak_area(e_x, e_x2):
     """Mean area under the age staircase per delivered update.
 
     With slotted ages the area of one interarrival of length X is the
     triangular sum X*(X+1)/2, whose expectation is (E[X^2] + E[X]) / 2.
+    Broadcasts over arrays.
     """
-    if not e_x >= 1.0:
+    x, x2 = np.asarray(e_x, dtype=float), np.asarray(e_x2, dtype=float)
+    if not (x >= 1.0).all():
         raise ValueError(f"e_x must be >= 1, got {e_x}")
-    if not e_x2 >= e_x:
+    if not (x2 >= x).all():
         raise ValueError(f"e_x2 must be >= e_x, got e_x2={e_x2}, e_x={e_x}")
-    return 0.5 * (e_x2 + e_x)
+    with np.errstate(over="ignore"):
+        area = 0.5 * (x2 + x)
+    return float(area) if area.ndim == 0 else area
 
 
 def average_aoi(beta, pi):
@@ -292,20 +292,23 @@ def aoi_limit_fixed_B(pi: float) -> float:
     return 1.0 / pi
 
 
-def aoi_limit_ratio(theta: float, channel_rate: float, efficiency: float) -> float:
+def aoi_limit_ratio(theta, channel_rate, efficiency):
     """Limit of the average age when B and P grow with a fixed ratio theta = B/P.
 
     The success probability tends to 1 and beta tends to
     c = channel_rate * theta / efficiency, leaving
-    ``(1 + 3c + c**2) / (2 * (1 + c)) + 1/2``.
+    ``(1 + 3c + c**2) / (2 * (1 + c)) + 1/2``. Broadcasts over arrays.
     """
-    if not 0.0 <= theta < math.inf:
+    t, lam, eta = (np.asarray(x, dtype=float) for x in (theta, channel_rate, efficiency))
+    if not ((t >= 0.0) & (t < math.inf)).all():
         raise ValueError(f"theta must be non-negative and finite, got {theta}")
-    if not 0.0 < channel_rate < math.inf:
+    if not ((lam > 0.0) & (lam < math.inf)).all():
         raise ValueError(f"channel_rate must be positive and finite, got {channel_rate}")
-    if not 0.0 < efficiency <= 1.0:
+    if not ((eta > 0.0) & (eta <= 1.0)).all():
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    return average_aoi(channel_rate * theta / efficiency, 1.0)
+    with np.errstate(over="ignore"):  # an infinite c is refused as beta
+        c = lam * t / eta
+    return average_aoi(c, 1.0)
 
 
 @dataclass(frozen=True)

@@ -185,47 +185,38 @@ def beta_pi(params, capacitor_j):
     pi is computed element by element with ``math.exp``, so an array entry
     equals the scalar evaluation bit for bit; it is 0.0 where it underflows.
 
-    Returns floats for one point at one size, arrays otherwise.
+    Returns Python floats for one point at a 0-d size, arrays otherwise.
     """
-    # A float stays a Python float, which keeps derive's scalar call cheap.
-    if isinstance(capacitor_j, float):
-        b = capacitor_j
-        valid = 0.0 < b < math.inf
-    else:
-        b = np.asarray(capacitor_j, dtype=float)
-        valid = ((b > 0.0) & (b < math.inf)).all()
-    if not valid:
+    b = np.asarray(capacitor_j, dtype=float)
+    if not ((b > 0.0) & (b < math.inf)).all():
         raise ValueError(f"capacitor sizes must be positive and finite, got {capacitor_j}")
-    if isinstance(params, SystemParams):
-        lam, eta_p, k = _coefficients(params)
-        if isinstance(b, float):  # Python floats overflow to inf without a warning
-            return _beta(lam, eta_p, b), _pi(k, b)
-    else:
-        # lane i goes with b[i]; further axes of b broadcast
-        lane_shape = (-1, *(1,) * (np.ndim(b) - 1))
-        coefficients = np.array([_coefficients(p) for p in params]).reshape(-1, 3).T
-        lam, eta_p, k = (c.reshape(lane_shape) for c in coefficients)
+    one = isinstance(params, SystemParams)
+    # one point's coefficients, or lane i's for b[i]; further axes of b broadcast
+    lanes, shape = ([params], ()) if one else (params, (-1, *(1,) * (b.ndim - 1)))
+    lam, eta_p, k = np.array([_coefficients(p) for p in lanes]).reshape(-1, 3).T.reshape(3, *shape)
     with np.errstate(over="ignore"):  # beta and the exponent may overflow to inf
-        return _beta(lam, eta_p, b), _pi(k, b)
+        beta, pi = _beta(lam, eta_p, b), _pi(k, b)
+    if one and b.ndim == 0:
+        return float(beta), float(pi)
+    return beta, pi
 
 
 def _refuse(beta, pi, capacitor_j) -> None:
     """Raise derive's ValueError at the first point where pi underflows to
-    zero, E[T^2] overflows or E[X^2] overflows. Takes floats, or 1-d arrays
-    whose first refused entry is checked again as floats, for the message."""
-    if not isinstance(pi, float):
-        with np.errstate(over="ignore"):
-            refused = (pi <= 0.0) | (beta * beta == math.inf) | _x2_overflows(beta, pi)
-        if not refused.any():
-            return
-        i = int(refused.argmax())
-        beta, pi, capacitor_j = float(beta[i]), float(pi[i]), float(capacitor_j[i])
-    if pi <= 0.0:
-        raise ValueError(f"success probability underflows to zero at capacitor_j {capacitor_j!r}")
-    if beta * beta == math.inf:
-        raise ValueError(f"E[T^2] overflows a float at beta {beta!r}")
-    if _x2_overflows(beta, pi):
-        raise ValueError(f"E[X^2] overflows a float at pi {pi!r}")
+    zero, E[T^2] overflows or E[X^2] overflows. Takes floats or 1-d arrays;
+    the message is that of the first check the first refused entry fails."""
+    beta, pi, capacitor_j = np.atleast_1d(beta, pi, capacitor_j)
+    with np.errstate(over="ignore"):
+        no_pi, t2_over, x2_over = pi <= 0.0, beta * beta == math.inf, _x2_overflows(beta, pi)
+    refused = no_pi | t2_over | x2_over
+    if not refused.any():
+        return
+    i = int(refused.argmax())
+    if no_pi[i]:
+        raise ValueError(f"success probability underflows to zero at capacitor_j {float(capacitor_j[i])!r}")
+    if t2_over[i]:
+        raise ValueError(f"E[T^2] overflows a float at beta {float(beta[i])!r}")
+    raise ValueError(f"E[X^2] overflows a float at pi {float(pi[i])!r}")
 
 
 def derive(params: SystemParams) -> DerivedParams:

@@ -10,10 +10,10 @@ guaranteed.
 
 The grid stage scans every operating point (lane) at once. pi depends on the
 lane only through lambda*(2**r - 1)*sigma^2, which the lanes of a power sweep
-share, so it is computed once per distinct value. The refinement then runs
-lane by lane on Python floats, through the same formula kernels as
-:func:`~wpaoi.model.beta_pi` and :func:`~wpaoi.analytics.average_aoi`, so
-each evaluation equals theirs bit for bit.
+share, so it is computed once per distinct value. The golden steps then run
+lane by lane on Python floats, the one scalar use of ``model._pi``, through
+the kernels of :func:`~wpaoi.model.beta_pi` and
+:func:`~wpaoi.analytics.average_aoi`, so each step equals theirs bit for bit.
 """
 
 from __future__ import annotations

@@ -379,6 +379,27 @@ def test_aoi_limit_ratio():
             aoi_limit_ratio(*args)
 
 
+def test_mean_peak_area_and_aoi_limit_ratio_broadcast_bit_for_bit():
+    # Each entry of an array call equals the call at that point alone.
+    e_x, e_x2 = interarrival_moments(np.array([0.0, 1.0, 145.6, 1e150]), np.array([1.0, 0.5, 0.42, 1e-3]))
+    e_x, e_x2 = np.append(e_x, 1.7e308), np.append(e_x2, 1.7e308)  # the sum overflows to inf
+    area = mean_peak_area(e_x, e_x2)
+    assert area.tolist() == [mean_peak_area(x, x2) for x, x2 in zip(e_x.tolist(), e_x2.tolist())]
+    assert area[-1] == math.inf
+    thetas = np.array([0.0, 1e-4, 3.0, 1e150, 1e152])
+    rates = np.array([[2.2e3], [1.0]])
+    ratio = aoi_limit_ratio(thetas, rates, 0.5)
+    assert ratio.shape == (2, 5)
+    assert ratio.tolist() == [[aoi_limit_ratio(t, lam, 0.5) for t in thetas.tolist()] for lam in (2.2e3, 1.0)]
+    assert ratio[0, -1] == math.inf
+    assert type(mean_peak_area(3.0, 11.0)) is type(aoi_limit_ratio(1.0, 1.0, 1.0)) is float
+    # One entry out of its domain refuses the whole call, by its own name.
+    with pytest.raises(ValueError, match="^e_x2 must be"):
+        mean_peak_area(np.array([3.0, 3.0]), np.array([11.0, 2.0]))
+    with pytest.raises(ValueError, match="^efficiency must be"):
+        aoi_limit_ratio(thetas[:2], 1.0, np.array([0.5, 2.0]))
+
+
 def test_analytic_report_is_consistent():
     rep = analytic_report(145.64513624208642, 0.42484646269601529)
     assert rep.e_t == 1.0 + rep.beta

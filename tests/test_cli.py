@@ -526,12 +526,12 @@ def test_search_commands_exit_with_documented_codes(command, values):
 
 
 def _run_json(argv):
-    """Exit code and parsed JSON output (None unless the exit code is 0)."""
+    """Exit code, parsed JSON output (None unless the exit code is 0) and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli([*argv, "--format", "json"])
     assert code in (0, 3), (argv, code, err.getvalue())
-    return code, json.loads(out.getvalue()) if code == 0 else None
+    return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -544,19 +544,25 @@ def _run_json(argv):
 @given(P=_EXTREMES, r=_EXTREMES, B=_EXTREMES)
 def test_sweeps_refuse_exactly_what_one_point_commands_refuse(P, r, B):
     # One lane (P, r) at a time, each sweep against the command that
-    # evaluates its point alone: the same refusals, the same values.
-    code, rows = _run_json(["sweep-p", "--power-w", "3", f"--p-values={P!r}", f"--r-values={r!r}"])
-    opt_code, opt = _run_json(["optimize", f"--power-w={P!r}", f"--rate-bpcu={r!r}"])
+    # evaluates its point alone: the same refusals, the same values. Where
+    # the swept values are in their domain, the refusal is also worded the
+    # same; a swept value out of it is refused in the sweep's own words.
+    code, rows, err = _run_json(["sweep-p", "--power-w", "3", f"--p-values={P!r}", f"--r-values={r!r}"])
+    opt_code, opt, opt_err = _run_json(["optimize", f"--power-w={P!r}", f"--rate-bpcu={r!r}"])
     assert code == opt_code
+    if 0.0 < P < math.inf and 0.0 <= r < math.inf:
+        assert err == opt_err
     if code == 0:
         (row,) = rows
         assert (row["b_star"], row["delta_star"], row["beta"], row["pi"]) == (
             opt["b_star_j"], opt["delta_star"], opt["beta"], opt["pi"]
         )
     lane = [f"--power-w={P!r}", f"--rate-bpcu={r!r}"]
-    code, rows = _run_json(["sweep-b", *lane, f"--b-values={B!r}"])
-    one_code, one = _run_json(["analytic", *lane, f"--capacitor-j={B!r}"])
+    code, rows, err = _run_json(["sweep-b", *lane, f"--b-values={B!r}"])
+    one_code, one, one_err = _run_json(["analytic", *lane, f"--capacitor-j={B!r}"])
     assert code == one_code
+    if 0.0 < B < math.inf:
+        assert err == one_err
     if code == 0:
         (row,) = rows
         assert (row["beta"], row["pi"], row["delta_analytic"]) == (one["beta"], one["pi"], one["delta"])

@@ -138,11 +138,26 @@ def test_beta_pi_lanes_match_derive_bit_for_bit(ref_point):
         # one size per lane
         assert beta_pi(lanes, sizes[:len(lanes)])[0][i] == beta[i, i]
         for j, b in enumerate(sizes):
-            # derive's own scalar call; derive refuses some of these sizes,
+            # the one-point call derive makes; derive refuses some of these sizes,
             # where a pi near 1e-227 makes E[X^2] overflow
             assert (beta[i, j], pi[i, j]) == beta_pi(params, float(b))
     with pytest.raises(ValueError):
         beta_pi(lanes, np.full(len(lanes), math.nan))
+
+
+def test_beta_pi_gives_python_floats_at_any_scalar_size():
+    # derive's values reach the CLI's JSON writer, which refuses numpy scalars.
+    params = SystemParams(power_w=3.0, efficiency=0.5, noise_w=1e-9, rate_bpcu=0.05, capacitor_j=1.0,
+                          channel_rate=3.0)
+    expected = beta_pi(params, 1.0)
+    assert expected[0] == 2.0
+    for size in (1.0, 1, np.float64(1.0), np.array(1.0)):
+        beta, pi = beta_pi(params, size)
+        assert type(beta) is type(pi) is float
+        assert (beta, pi) == expected
+    d = derive(dataclasses.replace(params, capacitor_j=1))
+    assert type(d.beta) is type(d.pi) is float
+    assert (d.beta, d.pi) == expected
 
 
 def test_derive_rejects_underflowing_success_probability(ref_point):

@@ -31,6 +31,7 @@ def test_import_loads_nothing_beyond_its_dependencies():
     assert run.returncode == 0, run.stderr
     loaded = run.stdout.split()
     assert "wpaoi.simulator" in loaded
+    assert "wpaoi.cli" not in loaded  # the CLI loads only when it runs
     outside = [
         name
         for name in loaded
@@ -54,3 +55,17 @@ def test_public_signatures():
     assert inspect.signature(wpaoi.sweep_aoi_vs_B).parameters["horizon"].default is None
     assert names(wpaoi.sweep_minaoi_vs_P) == ["base", "p_values", "r_values"]
     assert len(wpaoi.__all__) == len(set(wpaoi.__all__)) == 33
+
+
+def test_exports_are_the_layers_own():
+    # The package names no export itself: it re-exports each layer's
+    # __all__, so adding or dropping a name is one edit in its layer. A name
+    # two layers exported would shadow one of them without a word; it would
+    # also appear twice here, which the count above refuses.
+    layers = [wpaoi.analytics, wpaoi.experiments, wpaoi.model, wpaoi.optimizer, wpaoi.simulator]
+    assert wpaoi.__all__ == sorted(name for layer in layers for name in layer.__all__)
+    for layer in layers:
+        for name in layer.__all__:
+            obj = getattr(wpaoi, name)
+            assert obj is vars(layer)[name]
+            assert obj.__module__ == layer.__name__
